@@ -11,6 +11,26 @@ use freeride_gpu::HardwareSpec;
 use freeride_pipeline::{ModelSpec, PipelineConfig};
 use freeride_tasks::WorkloadKind;
 
+/// The recorded `table1_rows` output. Thread-count agreement alone cannot
+/// catch a refactor that moves a number on every thread count at once;
+/// this pin can.
+const TABLE1_PINNED: [&str; 6] = [
+    "ResNet18   steps=432 thr=35.079172 events=1942 time=12.315s",
+    "ResNet50   steps=142 thr=11.530654 events=1362 time=12.315s",
+    "VGG19      steps=16 thr=1.299229 events=1012 time=12.315s",
+    "PageRank   steps=4122 thr=334.713764 events=9322 time=12.315s",
+    "Graph SGD  steps=142 thr=11.530654 events=1362 time=12.315s",
+    "Image      steps=198 thr=16.077954 events=1376 time=12.315s",
+];
+
+/// The recorded `cluster_rows` output (see [`TABLE1_PINNED`]).
+const CLUSTER_PINNED: [&str; 4] = [
+    "first-fit steps=558 events=2415 makespan=9.580s",
+    "best-fit-memory steps=558 events=2415 makespan=9.580s",
+    "least-loaded steps=558 events=2415 makespan=9.580s",
+    "min-tasks-job steps=568 events=2441 makespan=9.580s",
+];
+
 /// The table1-style row computation: a full co-location simulation per
 /// workload, formatted exactly like the binary's output rows.
 fn table1_rows(threads: usize) -> Vec<String> {
@@ -44,6 +64,7 @@ fn table1_rows(threads: usize) -> Vec<String> {
 #[test]
 fn parallel_sweep_is_byte_identical_to_sequential() {
     let sequential = table1_rows(1);
+    assert_eq!(sequential, TABLE1_PINNED, "table1 rows moved");
     for threads in [2, 4] {
         let parallel = table1_rows(threads);
         assert_eq!(
@@ -102,6 +123,7 @@ fn cluster_rows(threads: usize) -> Vec<String> {
 #[test]
 fn cluster_sweep_is_byte_identical_to_sequential() {
     let sequential = cluster_rows(1);
+    assert_eq!(sequential, CLUSTER_PINNED, "cluster rows moved");
     for threads in [2, 4] {
         let parallel = cluster_rows(threads);
         assert_eq!(
