@@ -4,7 +4,8 @@
 //! training epoch with and without FreeRide.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use freeride_core::{run_colocation, FreeRideConfig, SideTaskManager, Submission, TaskId};
+use freeride_bench::colocate;
+use freeride_core::{FreeRideConfig, SideTaskManager, Submission, TaskId};
 use freeride_gpu::{GpuDevice, GpuId, KernelSpec, MemBytes, MpsPrioritized, Priority};
 use freeride_pipeline::{run_training, ModelSpec, PipelineConfig, Schedule, ScheduleKind};
 use freeride_sim::{DetRng, EventQueue, SimDuration, SimTime};
@@ -150,7 +151,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     {
         // freeride: allow(no-wall-clock) -- bench harness measures real wall time; never feeds back into sim state
         let start = std::time::Instant::now();
-        let run = run_colocation(
+        let run = colocate(
             &cfg,
             &FreeRideConfig::iterative(),
             &Submission::per_worker(WorkloadKind::PageRank, 4),
@@ -170,7 +171,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     });
     group.bench_function("train 2 epochs + pagerank (freeride)", |b| {
         b.iter(|| {
-            let run = run_colocation(
+            let run = colocate(
                 &cfg,
                 &FreeRideConfig::iterative(),
                 &Submission::per_worker(WorkloadKind::PageRank, 4),

@@ -11,10 +11,10 @@
 //! the output is identical for any thread count.
 
 use freeride_bench::{
-    all_methods, baseline_of, eval_method, header, main_pipeline, paper_table1, paper_table2,
+    all_methods, colocate, eval_method, header, main_pipeline, paper_table1, paper_table2,
     paper_table2_mixed, BenchArgs, SweepRunner,
 };
-use freeride_core::{run_baseline, run_colocation, FreeRideConfig, Submission};
+use freeride_core::{run_baseline, FreeRideConfig, Submission};
 use freeride_pipeline::{run_training, ModelSpec, PipelineConfig, ScheduleKind};
 use freeride_tasks::WorkloadKind;
 
@@ -91,9 +91,8 @@ fn table1(sweep: SweepRunner, args: &BenchArgs) {
             let pipeline = pipeline.clone();
             let cfg = args.configure(FreeRideConfig::iterative());
             move || {
-                let run = run_colocation(&pipeline, &cfg, &Submission::per_worker(kind, 4));
-                let steps: u64 = run.tasks.iter().map(|t| t.steps).sum();
-                let thr = steps as f64 / run.total_time.as_secs_f64();
+                let run = colocate(&pipeline, &cfg, &Submission::per_worker(kind, 4));
+                let thr = run.total_steps() as f64 / run.makespan().as_secs_f64();
                 let p = kind.profile();
                 let (pb, ps2, pcpu) = paper_table1(kind);
                 format!(
@@ -115,7 +114,7 @@ fn table1(sweep: SweepRunner, args: &BenchArgs) {
 fn table2_and_figure9(sweep: SweepRunner, args: &BenchArgs) {
     header("Table 2: I / S per method (paper values in parentheses)  +  Figure 9 breakdown");
     let pipeline = main_pipeline(EPOCHS);
-    let baseline = baseline_of(&pipeline);
+    let baseline = run_baseline(&pipeline);
 
     // Per workload: one job per method cell plus the Figure 9 breakdown
     // run; plus the four mixed-workload cells. Everything fans out in a
@@ -151,8 +150,8 @@ fn table2_and_figure9(sweep: SweepRunner, args: &BenchArgs) {
         let pipeline = pipeline.clone();
         let cfg = args.configure(FreeRideConfig::iterative());
         jobs.push(Box::new(move || {
-            let fr = run_colocation(&pipeline, &cfg, &Submission::per_worker(kind, 4));
-            Cell::Fractions(fr.breakdown.fractions())
+            let fr = colocate(&pipeline, &cfg, &Submission::per_worker(kind, 4));
+            Cell::Fractions(fr.jobs[0].breakdown.fractions())
         }));
     }
 
@@ -228,8 +227,9 @@ fn figure7(sweep: SweepRunner, args: &BenchArgs) {
                 let subs: Vec<Submission> = (0..4)
                     .map(|_| Submission::new(WorkloadKind::ResNet18).with_batch(batch))
                     .collect();
-                let run = run_colocation(&pipeline, &cfg, &subs);
-                let r = freeride_core::evaluate(baseline, run.total_time, &run.work());
+                let run = colocate(&pipeline, &cfg, &subs);
+                let job = &run.jobs[0];
+                let r = freeride_core::evaluate(baseline, job.total_time, &job.work());
                 format!(
                     "  batch {batch:>3}: I {:>5.1}%  S {:>5.1}%",
                     r.time_increase * 100.0,
@@ -250,9 +250,9 @@ fn figure7(sweep: SweepRunner, args: &BenchArgs) {
                 let p = PipelineConfig::paper_default(ModelSpec::by_params_b(params))
                     .with_epochs(EPOCHS);
                 let b = run_baseline(&p);
-                let run =
-                    run_colocation(&p, &cfg, &Submission::per_worker(WorkloadKind::PageRank, 4));
-                let r = freeride_core::evaluate(b, run.total_time, &run.work());
+                let run = colocate(&p, &cfg, &Submission::per_worker(WorkloadKind::PageRank, 4));
+                let job = &run.jobs[0];
+                let r = freeride_core::evaluate(b, job.total_time, &job.work());
                 format!(
                     "  {params:>3}B: I {:>5.1}%  S {:>5.1}%",
                     r.time_increase * 100.0,
@@ -274,9 +274,9 @@ fn figure7(sweep: SweepRunner, args: &BenchArgs) {
                     .with_micro_batches(mb)
                     .with_epochs(EPOCHS);
                 let b = run_baseline(&p);
-                let run =
-                    run_colocation(&p, &cfg, &Submission::per_worker(WorkloadKind::PageRank, 4));
-                let r = freeride_core::evaluate(b, run.total_time, &run.work());
+                let run = colocate(&p, &cfg, &Submission::per_worker(WorkloadKind::PageRank, 4));
+                let job = &run.jobs[0];
+                let r = freeride_core::evaluate(b, job.total_time, &job.work());
                 format!(
                     "  mb {mb}: I {:>5.1}%  S {:>5.1}%",
                     r.time_increase * 100.0,

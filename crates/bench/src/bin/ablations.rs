@@ -15,11 +15,8 @@
 
 #![forbid(unsafe_code)]
 
-use freeride_bench::{header, main_pipeline, BenchArgs};
-use freeride_core::{
-    evaluate, run_baseline, run_baseline_with, run_colocation, FreeRideConfig, Misbehavior,
-    Submission,
-};
+use freeride_bench::{colocate, header, main_pipeline, BenchArgs};
+use freeride_core::{evaluate, run_baseline, FreeRideConfig, Misbehavior, Submission};
 use freeride_pipeline::ScheduleKind;
 use freeride_sim::SimDuration;
 use freeride_tasks::WorkloadKind;
@@ -45,12 +42,12 @@ fn main() {
                 // Well-behaved VGG19: long steps keep a kernel in flight
                 // when the pause lands; a too-short grace period kills it
                 // by mistake.
-                let run = run_colocation(
+                let run = colocate(
                     &pipeline,
                     &cfg,
                     &Submission::per_worker(WorkloadKind::Vgg19, 4),
                 );
-                let vgg_outcome = run
+                let vgg_outcome = run.jobs[0]
                     .tasks
                     .iter()
                     .map(|t| format!("{:?}", t.stop_reason))
@@ -60,13 +57,13 @@ fn main() {
                 // the kill.
                 let rogue = vec![Submission::new(WorkloadKind::ResNet18)
                     .with_misbehavior(Misbehavior::IgnorePause)];
-                let rogue_run = run_colocation(&pipeline, &cfg, &rogue);
+                let rogue_run = colocate(&pipeline, &cfg, &rogue);
                 format!(
                     "{:<12} {:>16} {:>16?} {:>10.2}",
                     format!("{grace_ms}ms"),
                     vgg_outcome,
-                    rogue_run.tasks[0].stop_reason,
-                    (rogue_run.total_time.as_secs_f64() / baseline.as_secs_f64() - 1.0) * 100.0
+                    rogue_run.jobs[0].tasks[0].stop_reason,
+                    (rogue_run.makespan().as_secs_f64() / baseline.as_secs_f64() - 1.0) * 100.0
                 )
             }
         })
@@ -86,18 +83,19 @@ fn main() {
             move || {
                 let mut cfg = args.configure(FreeRideConfig::iterative());
                 cfg.rpc_latency = SimDuration::from_micros(lat_us);
-                let run = run_colocation(
+                let run = colocate(
                     &pipeline,
                     &cfg,
                     &Submission::per_worker(WorkloadKind::PageRank, 4),
                 );
-                let report = evaluate(baseline, run.total_time, &run.work());
+                let job = &run.jobs[0];
+                let report = evaluate(baseline, job.total_time, &job.work());
                 format!(
                     "{:<12} {:>8.1} {:>8.1} {:>10}",
                     format!("{}us", lat_us),
                     report.time_increase * 100.0,
                     report.cost_savings * 100.0,
-                    run.tasks.iter().map(|t| t.steps).sum::<u64>()
+                    run.total_steps()
                 )
             }
         })
@@ -117,18 +115,19 @@ fn main() {
             move || {
                 let mut cfg = args.configure(FreeRideConfig::iterative());
                 cfg.step_safety_margin = SimDuration::from_millis(margin_ms);
-                let run = run_colocation(
+                let run = colocate(
                     &pipeline,
                     &cfg,
                     &Submission::per_worker(WorkloadKind::GraphSgd, 4),
                 );
-                let report = evaluate(baseline, run.total_time, &run.work());
+                let job = &run.jobs[0];
+                let report = evaluate(baseline, job.total_time, &job.work());
                 format!(
                     "{:<12} {:>8.1} {:>8.1} {:>10}",
                     format!("{margin_ms}ms"),
                     report.time_increase * 100.0,
                     report.cost_savings * 100.0,
-                    run.tasks.iter().map(|t| t.steps).sum::<u64>()
+                    run.total_steps()
                 )
             }
         })
@@ -152,17 +151,19 @@ fn main() {
     .map(|(name, kind)| {
         let pipeline = pipeline.clone();
         move || {
-            let sched_baseline = run_baseline_with(&pipeline, kind);
+            // The no-side-task run under this schedule is also the
+            // baseline its cost metrics compare against.
+            let training = freeride_pipeline::run_training(&pipeline, kind);
             let cfg = args
                 .configure(FreeRideConfig::iterative())
                 .with_schedule(kind);
-            let run = run_colocation(
+            let run = colocate(
                 &pipeline,
                 &cfg,
                 &Submission::per_worker(WorkloadKind::PageRank, 4),
             );
-            let report = evaluate(sched_baseline, run.total_time, &run.work());
-            let training = freeride_pipeline::run_training(&pipeline, kind);
+            let job = &run.jobs[0];
+            let report = evaluate(training.total_time, job.total_time, &job.work());
             format!(
                 "{:<12} {:>11.1}% {:>8.1} {:>8.1}",
                 name,
@@ -180,7 +181,7 @@ fn main() {
     println!("   scale; FreeRide harvests either)");
 
     header("Ablation: placement policy (mixed workload)");
-    // The policy lives in the manager; run_colocation uses the paper's
+    // The policy lives in the manager; `colocate` uses the paper's
     // min-tasks policy. Here we compare placements structurally.
     use freeride_core::{SideTaskManager, TaskId, WorkerPolicy};
     use freeride_gpu::MemBytes;

@@ -10,8 +10,8 @@
 
 #![forbid(unsafe_code)]
 
-use freeride_bench::{header, BenchArgs};
-use freeride_core::{evaluate, run_baseline, run_colocation, FreeRideConfig, Submission};
+use freeride_bench::{colocate, header, BenchArgs};
+use freeride_core::{evaluate, run_baseline, FreeRideConfig, Submission};
 use freeride_pipeline::{ModelSpec, PipelineConfig};
 use freeride_tasks::WorkloadKind;
 
@@ -44,12 +44,13 @@ fn main() {
                 let subs: Vec<Submission> = (0..4)
                     .map(|_| Submission::new(kind).with_batch(batch))
                     .collect();
-                let run = run_colocation(&pipeline, &cfg, &subs);
-                let report = evaluate(baseline, run.total_time, &run.work());
+                let run = colocate(&pipeline, &cfg, &subs);
+                let job = &run.jobs[0];
+                let report = evaluate(baseline, job.total_time, &job.work());
                 let profile = kind.profile_with_batch(batch);
                 let note = if !profile.fits_server2() {
                     "OOM on Server-II (S not comparable)"
-                } else if !run.rejected.is_empty() {
+                } else if run.total_rejections() > 0 {
                     "partially rejected (bubble memory)"
                 } else {
                     ""
@@ -86,8 +87,9 @@ fn main() {
                 let pipeline = PipelineConfig::paper_default(ModelSpec::by_params_b(params))
                     .with_epochs(epochs);
                 let baseline = run_baseline(&pipeline);
-                let run = run_colocation(&pipeline, &cfg, &Submission::per_worker(kind, 4));
-                let report = evaluate(baseline, run.total_time, &run.work());
+                let run = colocate(&pipeline, &cfg, &Submission::per_worker(kind, 4));
+                let job = &run.jobs[0];
+                let report = evaluate(baseline, job.total_time, &job.work());
                 format!(
                     "{:<10} {:>5}B {:>8.1} {:>8.1}",
                     kind.name(),
@@ -120,8 +122,9 @@ fn main() {
                     .with_micro_batches(mb)
                     .with_epochs(epochs);
                 let baseline = run_baseline(&pipeline);
-                let run = run_colocation(&pipeline, &cfg, &Submission::per_worker(kind, 4));
-                let report = evaluate(baseline, run.total_time, &run.work());
+                let run = colocate(&pipeline, &cfg, &Submission::per_worker(kind, 4));
+                let job = &run.jobs[0];
+                let report = evaluate(baseline, job.total_time, &job.work());
                 format!(
                     "{:<10} {:>4} {:>8.1} {:>8.1}",
                     kind.name(),

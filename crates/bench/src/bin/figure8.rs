@@ -11,10 +11,9 @@
 
 #![forbid(unsafe_code)]
 
-use freeride_bench::{baseline_of, header, main_pipeline, BenchArgs};
+use freeride_bench::{colocate, header, main_pipeline, BenchArgs};
 use freeride_core::{
-    run_colocation, time_increase, ColocationRun, FreeRideConfig, Misbehavior, StopReason,
-    Submission,
+    run_baseline, time_increase, FreeRideConfig, JobReport, Misbehavior, StopReason, Submission,
 };
 use freeride_gpu::MemBytes;
 use freeride_sim::SimDuration;
@@ -23,7 +22,7 @@ use freeride_tasks::WorkloadKind;
 fn main() {
     let args = BenchArgs::parse();
     let pipeline = main_pipeline(6);
-    let baseline = baseline_of(&pipeline);
+    let baseline = run_baseline(&pipeline);
 
     // The three demonstration runs are independent simulations; fan them
     // out and print afterwards.
@@ -32,7 +31,7 @@ fn main() {
     let job = |cfg: FreeRideConfig, subs: Vec<Submission>| {
         let pipeline = pipeline.clone();
         let cfg = args.configure(cfg);
-        move || run_colocation(&pipeline, &cfg, &subs)
+        move || colocate(&pipeline, &cfg, &subs).jobs.remove(0)
     };
 
     // (a) without the limit (grace period effectively infinite) vs with.
@@ -53,7 +52,7 @@ fn main() {
         }),
     );
 
-    let mut runs: Vec<ColocationRun> = args.sweep().run(vec![
+    let mut runs: Vec<JobReport> = args.sweep().run(vec![
         job(no_limit, rogue()),
         job(FreeRideConfig::iterative(), rogue()),
         job(leak_cfg, leaky),

@@ -10,8 +10,8 @@
 
 #![forbid(unsafe_code)]
 
-use freeride_bench::{header, main_pipeline, BenchArgs};
-use freeride_core::{run_colocation, FreeRideConfig, Submission};
+use freeride_bench::{colocate, header, main_pipeline, BenchArgs};
+use freeride_core::{FreeRideConfig, Submission};
 use freeride_tasks::WorkloadKind;
 
 fn main() {
@@ -37,8 +37,8 @@ fn main() {
             let pipeline = pipeline.clone();
             let cfg = cfg.clone();
             move || {
-                let run = run_colocation(&pipeline, &cfg, &subs);
-                let f = run.breakdown.fractions();
+                let run = colocate(&pipeline, &cfg, &subs);
+                let f = run.jobs[0].breakdown.fractions();
                 format!(
                     "{:<10} {:>8.1}% {:>11.1}% {:>13.1}% {:>9.1}%",
                     name,

@@ -42,11 +42,12 @@
 #![forbid(unsafe_code)]
 
 use freeride_bench::{
-    all_methods, chaos, default_threads, health, main_pipeline, traffic, BenchArgs, SweepRunner,
+    all_methods, chaos, colocate, default_threads, health, main_pipeline, traffic, BenchArgs,
+    SweepRunner,
 };
 use freeride_core::{
-    run_colocation, Cluster, ClusterJob, ColocationRun, FastestFit, FreeRideConfig, LeastLoaded,
-    ProfileReport, SimTracer, Submission, SubmitOptions,
+    Cluster, ClusterJob, ClusterReport, FastestFit, FreeRideConfig, LeastLoaded, ProfileReport,
+    SimTracer, Submission, SubmitOptions,
 };
 use freeride_gpu::HardwareSpec;
 use freeride_pipeline::{ModelSpec, PipelineConfig};
@@ -65,10 +66,10 @@ fn single_run(args: &BenchArgs) -> SingleRun {
     let cfg = args.configure(FreeRideConfig::iterative());
     let subs = Submission::per_worker(WorkloadKind::PageRank, 4);
     // One warm-up, then the measured run.
-    let _ = run_colocation(&pipeline, &cfg, &subs);
+    let _ = colocate(&pipeline, &cfg, &subs);
     // freeride: allow(no-wall-clock) -- perf bin measures real wall time; never feeds back into sim state
     let start = Instant::now();
-    let run = run_colocation(&pipeline, &cfg, &subs);
+    let run = colocate(&pipeline, &cfg, &subs);
     let wall_s = start.elapsed().as_secs_f64();
     SingleRun {
         wall_s,
@@ -301,21 +302,21 @@ fn chaos_perf(args: &BenchArgs) -> SingleRun {
 }
 
 /// The standard sweep: one closure per independent simulation.
-fn sweep_jobs(args: &BenchArgs) -> Vec<Box<dyn FnOnce() -> ColocationRun + Send>> {
+fn sweep_jobs(args: &BenchArgs) -> Vec<Box<dyn FnOnce() -> ClusterReport + Send>> {
     let pipeline = main_pipeline(args.epochs);
-    let mut jobs: Vec<Box<dyn FnOnce() -> ColocationRun + Send>> = Vec::new();
+    let mut jobs: Vec<Box<dyn FnOnce() -> ClusterReport + Send>> = Vec::new();
     for kind in WorkloadKind::ALL {
         let pipeline = pipeline.clone();
         let cfg = args.configure(FreeRideConfig::iterative());
         jobs.push(Box::new(move || {
-            run_colocation(&pipeline, &cfg, &Submission::per_worker(kind, 4))
+            colocate(&pipeline, &cfg, &Submission::per_worker(kind, 4))
         }));
     }
     for (_, cfg) in all_methods() {
         let pipeline = pipeline.clone();
         let cfg = args.configure(cfg);
         jobs.push(Box::new(move || {
-            run_colocation(&pipeline, &cfg, &Submission::mixed())
+            colocate(&pipeline, &cfg, &Submission::mixed())
         }));
     }
     jobs

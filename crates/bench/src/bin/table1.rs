@@ -12,8 +12,8 @@
 
 #![forbid(unsafe_code)]
 
-use freeride_bench::{header, main_pipeline, paper_table1, BenchArgs};
-use freeride_core::{run_colocation, Submission};
+use freeride_bench::{colocate, header, main_pipeline, paper_table1, BenchArgs};
+use freeride_core::Submission;
 use freeride_tasks::WorkloadKind;
 
 fn main() {
@@ -32,9 +32,8 @@ fn main() {
             let pipeline = pipeline.clone();
             let cfg = args.configure(freeride_core::FreeRideConfig::iterative());
             move || {
-                let run = run_colocation(&pipeline, &cfg, &Submission::per_worker(kind, 4));
-                let total_steps: u64 = run.tasks.iter().map(|t| t.steps).sum();
-                let thr_bubbles = total_steps as f64 / run.total_time.as_secs_f64();
+                let run = colocate(&pipeline, &cfg, &Submission::per_worker(kind, 4));
+                let thr_bubbles = run.total_steps() as f64 / run.makespan().as_secs_f64();
                 let profile = kind.profile();
                 let thr_s2 = profile.throughput_server2();
                 let thr_cpu = profile.throughput_cpu();

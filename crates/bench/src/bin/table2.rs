@@ -10,16 +10,15 @@
 #![forbid(unsafe_code)]
 
 use freeride_bench::{
-    all_methods, baseline_of, eval_method, header, main_pipeline, paper_table2, paper_table2_mixed,
-    BenchArgs,
+    all_methods, eval_method, header, main_pipeline, paper_table2, paper_table2_mixed, BenchArgs,
 };
-use freeride_core::Submission;
+use freeride_core::{run_baseline, Submission};
 use freeride_tasks::WorkloadKind;
 
 fn main() {
     let args = BenchArgs::parse();
     let pipeline = main_pipeline(args.epochs);
-    let baseline = baseline_of(&pipeline);
+    let baseline = run_baseline(&pipeline);
 
     header("Table 2: time increase I and cost savings S");
     println!(

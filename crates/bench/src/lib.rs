@@ -36,7 +36,7 @@ pub mod traffic;
 pub use sweep::{default_threads, SweepRunner};
 
 use freeride_core::{
-    evaluate, run_baseline, run_colocation, ColocationRun, CostReport, FreeRideConfig, Submission,
+    evaluate, Cluster, ClusterJob, ClusterReport, CostReport, FreeRideConfig, Submission,
 };
 use freeride_pipeline::{ModelSpec, PipelineConfig};
 use freeride_sim::SimDuration;
@@ -169,6 +169,26 @@ pub fn main_pipeline(epochs: usize) -> PipelineConfig {
     PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(epochs)
 }
 
+/// Runs pipeline training co-located with `submissions` as a one-job
+/// [`Cluster`] under `cfg`, every submission arriving through
+/// [`Cluster::submit`] up front. Submissions that do not fit are kept in
+/// [`ClusterReport::rejected`]; the paper's cost metrics are left to the
+/// caller ([`eval_method`]), so no baseline is trained here.
+pub fn colocate(
+    pipeline: &PipelineConfig,
+    cfg: &FreeRideConfig,
+    submissions: &[Submission],
+) -> ClusterReport {
+    let mut cluster = Cluster::builder()
+        .job(ClusterJob::new(pipeline.clone()).config(cfg.clone()))
+        .cost_report(false)
+        .build();
+    for sub in submissions {
+        let _ = cluster.submit(sub.clone());
+    }
+    cluster.run()
+}
+
 /// One evaluated co-location configuration.
 pub struct EvalRow {
     /// Human-readable method name.
@@ -176,10 +196,11 @@ pub struct EvalRow {
     /// The cost/overhead report.
     pub report: CostReport,
     /// The raw run.
-    pub run: ColocationRun,
+    pub run: ClusterReport,
 }
 
-/// Runs one workload under one method and evaluates the paper's metrics.
+/// Runs one workload under one method ([`colocate`]) and evaluates the
+/// paper's metrics against `baseline`.
 pub fn eval_method(
     pipeline: &PipelineConfig,
     method: &'static str,
@@ -187,8 +208,9 @@ pub fn eval_method(
     submissions: &[Submission],
     baseline: SimDuration,
 ) -> EvalRow {
-    let run = run_colocation(pipeline, cfg, submissions);
-    let report = evaluate(baseline, run.total_time, &run.work());
+    let run = colocate(pipeline, cfg, submissions);
+    let job = &run.jobs[0];
+    let report = evaluate(baseline, job.total_time, &job.work());
     EvalRow {
         method,
         report,
@@ -220,11 +242,6 @@ pub fn vs_paper(measured: f64, paper: f64) -> String {
 pub fn header(title: &str) {
     println!();
     println!("=== {title} ===");
-}
-
-/// Convenience: baseline time for a pipeline config.
-pub fn baseline_of(pipeline: &PipelineConfig) -> SimDuration {
-    run_baseline(pipeline)
 }
 
 /// Paper-published Table 2 values `(I%, S%)` per method per workload, for
@@ -352,7 +369,7 @@ mod tests {
     #[test]
     fn eval_method_smoke() {
         let pipeline = main_pipeline(3);
-        let baseline = baseline_of(&pipeline);
+        let baseline = freeride_core::run_baseline(&pipeline);
         let row = eval_method(
             &pipeline,
             "FreeRide-Iterative",
@@ -361,6 +378,6 @@ mod tests {
             baseline,
         );
         assert!(row.report.time_increase < 0.05);
-        assert!(row.run.tasks.iter().map(|t| t.steps).sum::<u64>() > 0);
+        assert!(row.run.total_steps() > 0);
     }
 }

@@ -2,10 +2,10 @@
 //! simulations across threads must produce byte-identical results to a
 //! sequential run of the same closures, in submission order.
 
-use freeride_bench::{chaos, health, main_pipeline, traffic, SweepRunner};
+use freeride_bench::{chaos, colocate, health, main_pipeline, traffic, SweepRunner};
 use freeride_core::{
-    run_colocation, BestFitMemory, Cluster, ClusterJob, FastestFit, FirstFit, FreeRideConfig,
-    LeastLoaded, MinTasksJob, PlacementPolicy, SimTracer, Submission, SubmitOptions,
+    BestFitMemory, Cluster, ClusterJob, FastestFit, FirstFit, FreeRideConfig, LeastLoaded,
+    MinTasksJob, PlacementPolicy, SimTracer, Submission, SubmitOptions,
 };
 use freeride_gpu::HardwareSpec;
 use freeride_pipeline::{ModelSpec, PipelineConfig};
@@ -40,20 +40,20 @@ fn table1_rows(threads: usize) -> Vec<String> {
         .map(|kind| {
             let pipeline = pipeline.clone();
             move || {
-                let run = run_colocation(
+                let run = colocate(
                     &pipeline,
                     &FreeRideConfig::iterative(),
                     &Submission::per_worker(kind, 4),
                 );
-                let total_steps: u64 = run.tasks.iter().map(|t| t.steps).sum();
-                let thr = total_steps as f64 / run.total_time.as_secs_f64();
+                let total_steps = run.total_steps();
+                let thr = total_steps as f64 / run.makespan().as_secs_f64();
                 format!(
                     "{:<10} steps={} thr={:.6} events={} time={}",
                     kind.name(),
                     total_steps,
                     thr,
                     run.events_processed,
-                    run.total_time
+                    run.makespan()
                 )
             }
         })
@@ -360,7 +360,7 @@ fn sweep_preserves_submission_order_not_completion_order() {
         .map(|(i, epochs)| {
             move || {
                 let pipeline = main_pipeline(epochs);
-                let run = run_colocation(
+                let run = colocate(
                     &pipeline,
                     &FreeRideConfig::iterative(),
                     &Submission::per_worker(WorkloadKind::PageRank, 4),

@@ -17,24 +17,25 @@
 //!   compute speed, for heterogeneous fleets (see
 //!   [`freeride_gpu::HardwareSpec`]);
 //! * [`MinTasksJob`] — the cluster-level analogue of the paper's
-//!   Algorithm 1 (and the [`Deployment`](crate::Deployment) default):
-//!   pick the least-admitted job that can host the task and let that
-//!   job's manager choose the worker dynamically at arrival time.
+//!   Algorithm 1 (and the default): pick the least-admitted job that can
+//!   host the task and let that job's manager choose the worker
+//!   dynamically at arrival time.
 //!
-//! A submission that does not fit its preferred job **spills over** to any
-//! other job with room ([`Cluster::submit_to_job`]) instead of being
-//! rejected outright; only when *no* job can host it does the caller get
-//! [`SubmitError::InsufficientMemory`]. [`Cluster::run`] drives the whole
-//! fleet to completion and returns a [`ClusterReport`] aggregating one
-//! [`DeploymentReport`] per job plus cluster-level metrics.
+//! A submission that does not fit its preferred job
+//! ([`SubmitOptions::affinity`]) **spills over** to any other job with
+//! room instead of being rejected outright; only when *no* job can host it
+//! does the caller get [`SubmitError::InsufficientMemory`].
+//! [`Cluster::run`] drives the whole fleet to completion and returns a
+//! [`ClusterReport`] aggregating one [`JobReport`] per job plus
+//! cluster-level metrics.
 //!
-//! A one-job cluster is byte-identical to the pre-cluster single-job
-//! orchestrator — `Deployment` is now literally a thin wrapper over it.
+//! `Cluster` is the only session API: a one-job cluster under the
+//! defaults is the paper's single-job co-location (see the crate-level
+//! example).
 
 use crate::config::{ColocationMode, FreeRideConfig, InterfaceKind};
 use crate::deployment::{
-    assemble_report, AcceptedSubmission, DeploymentReport, RejectedSubmission, Submission,
-    TaskHandle,
+    assemble_report, AcceptedSubmission, JobReport, RejectedSubmission, Submission,
 };
 use crate::fault::{FaultPlan, SubmitOptions};
 use crate::health::{HealthReport, HealthState, SupervisorConfig};
@@ -146,7 +147,7 @@ pub struct ClusterView {
 
 impl ClusterView {
     /// The jobs in index order. When a submission targets a preferred job
-    /// ([`Cluster::submit_to_job`]), the first `place` call sees a view
+    /// ([`SubmitOptions::affinity`]), the first `place` call sees a view
     /// restricted to that job — `JobView::job` still carries the true
     /// cluster index.
     pub fn jobs(&self) -> &[JobView] {
@@ -369,9 +370,8 @@ impl PlacementPolicy for FastestFit {
 }
 
 /// The cluster-level analogue of the paper's Algorithm 1 — and the
-/// default policy (it is what [`crate::Deployment`] wraps): route to the
-/// job with the fewest admitted submissions among jobs that can host the
-/// task, and leave worker selection to that job's manager, which applies
+/// default policy: route to the job with the fewest admitted submissions
+/// among jobs that can host the task, and leave worker selection to that job's manager, which applies
 /// the real Algorithm 1 *at arrival time* against live queue state.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinTasksJob;
@@ -577,7 +577,7 @@ impl ClusterBuilder {
     }
 
     /// Whether [`Cluster::run`] also trains each job's no-side-task
-    /// baseline and fills [`DeploymentReport::cost`] (default: `true`) —
+    /// baseline and fills [`JobReport::cost`] (default: `true`) —
     /// required for [`ClusterReport::global_throughput_loss`].
     pub fn cost_report(mut self, enabled: bool) -> Self {
         self.cost_report = enabled;
@@ -683,12 +683,17 @@ impl ClusterBuilder {
 }
 
 /// Handle to a submission accepted by a cluster: the hosting job plus the
-/// per-task [`TaskHandle`], resolving to the task's outcome after
+/// task's identity, resolving to the task's outcome after
 /// [`Cluster::run`].
+///
+/// Before the run (or if the task was rejected in-run — see
+/// [`JobReport::rejected`]) every outcome lookup returns `None`.
 #[derive(Debug, Clone)]
 pub struct ClusterTaskHandle {
     job: usize,
-    handle: TaskHandle,
+    id: TaskId,
+    tag: WorkloadTag,
+    outcome: Arc<OnceLock<TaskSummary>>,
     priority: Option<String>,
     admitted_at: SimTime,
 }
@@ -714,54 +719,44 @@ impl ClusterTaskHandle {
         self.admitted_at
     }
 
-    /// The underlying per-task handle.
-    pub fn handle(&self) -> &TaskHandle {
-        &self.handle
-    }
-
-    /// Unwraps into the plain [`TaskHandle`] (drops the job affinity).
-    pub fn into_task_handle(self) -> TaskHandle {
-        self.handle
-    }
-
     /// The id assigned at submission (unique cluster-wide).
     pub fn id(&self) -> TaskId {
-        self.handle.id()
+        self.id
     }
 
     /// Workload identity.
     pub fn tag(&self) -> &WorkloadTag {
-        self.handle.tag()
+        &self.tag
     }
 
     /// The full outcome, once the run finished.
     pub fn outcome(&self) -> Option<&TaskSummary> {
-        self.handle.outcome()
+        self.outcome.get()
     }
 
     /// Final life-cycle state.
     pub fn state(&self) -> Option<SideTaskState> {
-        self.handle.state()
+        self.outcome().map(|t| t.final_state)
     }
 
     /// Steps completed during bubbles.
     pub fn steps(&self) -> Option<u64> {
-        self.handle.steps()
+        self.outcome().map(|t| t.steps)
     }
 
     /// Why the task stopped.
     pub fn stop_reason(&self) -> Option<StopReason> {
-        self.handle.stop_reason()
+        self.outcome().map(|t| t.stop_reason)
     }
 
     /// The worker (stage) the task ran on within its job.
     pub fn worker(&self) -> Option<usize> {
-        self.handle.worker()
+        self.outcome().map(|t| t.worker)
     }
 
-    /// The workload's last progress metric.
+    /// The workload's last progress metric (loss, delta, estimate…).
     pub fn last_value(&self) -> Option<f64> {
-        self.handle.last_value()
+        self.outcome().and_then(|t| t.last_value)
     }
 }
 
@@ -900,33 +895,10 @@ impl Cluster {
     /// to a job's workers. Admission is checked immediately (a rejection
     /// comes back typed, with the numbers that caused it, and is kept
     /// whole in [`ClusterReport::rejected`]); placement within the job
-    /// happens in-run at the submission's arrival time.
-    ///
-    /// Prefer [`Cluster::submit_with`] — this is the thin historical
-    /// wrapper for `submit_with(submission, SubmitOptions::new())`.
+    /// happens in-run at the submission's arrival time. Uses the default
+    /// [`SubmitOptions`]; see [`Cluster::submit_with`] for the rest.
     pub fn submit(&mut self, submission: Submission) -> Result<ClusterTaskHandle, SubmitError> {
         self.submit_with(submission, SubmitOptions::new())
-    }
-
-    /// Submits a side task with **job affinity**: the policy first sees
-    /// only `job`; when that job cannot host the task, the submission
-    /// **spills over** to the rest of the cluster instead of being
-    /// rejected — only a cluster-wide miss is an
-    /// [`SubmitError::InsufficientMemory`].
-    ///
-    /// Prefer [`Cluster::submit_with`] — this is the thin historical
-    /// wrapper for `submit_with(submission,
-    /// SubmitOptions::new().affinity(job))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `job` is out of range.
-    pub fn submit_to_job(
-        &mut self,
-        job: usize,
-        submission: Submission,
-    ) -> Result<ClusterTaskHandle, SubmitError> {
-        self.submit_with(submission, SubmitOptions::new().affinity(job))
     }
 
     /// The unified submission front door: drives `submission` through
@@ -1031,7 +1003,14 @@ impl Cluster {
                     }
                 });
                 let outcome = Arc::new(OnceLock::new());
-                let handle = TaskHandle::new(id, submission.tag().clone(), Arc::clone(&outcome));
+                let handle = ClusterTaskHandle {
+                    job,
+                    id,
+                    tag: submission.tag().clone(),
+                    outcome: Arc::clone(&outcome),
+                    priority: opts.priority,
+                    admitted_at,
+                };
                 let slot = &mut self.jobs[job];
                 slot.accepted.push(AcceptedSubmission {
                     id,
@@ -1046,12 +1025,7 @@ impl Cluster {
                     slot.pinned_counts[w] += 1;
                     slot.pinned_mem[w] += profile.gpu_mem;
                 }
-                Ok(ClusterTaskHandle {
-                    job,
-                    handle,
-                    priority: opts.priority,
-                    admitted_at,
-                })
+                Ok(handle)
             }
             Err(error) => {
                 self.emit_trace(submission.arrival(), None, None, || {
@@ -1144,7 +1118,7 @@ impl Cluster {
             )
         };
         let events_processed: u64 = outputs.iter().map(|o| o.events_processed).sum();
-        let jobs: Vec<DeploymentReport> = self
+        let jobs: Vec<JobReport> = self
             .jobs
             .into_iter()
             .zip(outputs)
@@ -1187,7 +1161,7 @@ impl Cluster {
     }
 }
 
-/// Result of one cluster run: one [`DeploymentReport`] per job plus the
+/// Result of one cluster run: one [`JobReport`] per job plus the
 /// cluster-level aggregates (global throughput loss, rejection counts,
 /// total events processed).
 ///
@@ -1219,7 +1193,7 @@ pub struct ClusterReport {
     /// Name of the placement policy that routed the submissions.
     pub policy: &'static str,
     /// Per-job reports, in job order.
-    pub jobs: Vec<DeploymentReport>,
+    pub jobs: Vec<JobReport>,
     /// Submissions no job could host (typed reasons, kept whole).
     /// In-run (late) rejections stay in their job's report.
     pub rejected: Vec<RejectedSubmission>,
@@ -1307,6 +1281,79 @@ mod tests {
             .policy(policy)
             .cost_report(false)
             .build()
+    }
+
+    fn one_job(epochs: usize) -> ClusterBuilder {
+        Cluster::builder().job(ClusterJob::new(pipeline(ModelSpec::nanogpt_3_6b(), epochs)))
+    }
+
+    #[test]
+    fn submit_rejects_zero_batch() {
+        let mut c = one_job(3).build();
+        let err = c
+            .submit(Submission::new(WorkloadKind::ResNet18).with_batch(0))
+            .unwrap_err();
+        assert_eq!(err, SubmitError::InvalidBatch { batch: 0 });
+    }
+
+    #[test]
+    fn handles_resolve_after_run() {
+        let mut c = Cluster::builder()
+            .job(ClusterJob::new(pipeline(ModelSpec::nanogpt_3_6b(), 3)).seed(11))
+            .build();
+        let handle = c.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
+        assert_eq!(handle.state(), None, "no outcome before run");
+        let report = c.run();
+        assert_eq!(handle.state(), Some(SideTaskState::Stopped));
+        assert_eq!(handle.stop_reason(), Some(StopReason::Finished));
+        assert!(handle.steps().unwrap() > 0);
+        assert_eq!(
+            report.jobs[0].task(handle.id()).unwrap().steps,
+            handle.steps().unwrap()
+        );
+    }
+
+    #[test]
+    fn rejected_submissions_are_kept_whole_in_the_report() {
+        let mut c = one_job(2).build();
+        let p = c.job_pipeline(0);
+        let best = (0..p.stages)
+            .map(|st| p.stage_free_memory(st))
+            .max()
+            .unwrap();
+        let err = c
+            .submit(Submission::new(WorkloadKind::Vgg19).with_batch(256))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SubmitError::InsufficientMemory {
+                needed: WorkloadKind::Vgg19.profile_with_batch(256).gpu_mem,
+                best_worker_free: best,
+            }
+        );
+        c.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
+        let report = c.run();
+        assert_eq!(report.rejected.len(), 1);
+        let r = &report.rejected[0];
+        assert_eq!(*r.submission.tag(), WorkloadKind::Vgg19);
+        assert_eq!(r.submission.batch(), 256);
+        assert_eq!(r.error, err);
+        assert_eq!(report.jobs[0].tasks.len(), 1);
+    }
+
+    #[test]
+    fn cost_report_is_optional() {
+        let run = |builder: ClusterBuilder| {
+            let mut c = builder.build();
+            c.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
+            c.run().jobs.remove(0)
+        };
+        let with = run(one_job(3));
+        assert!(with.cost.is_some());
+        assert!(with.baseline_time.is_some());
+        let without = run(one_job(3).cost_report(false));
+        assert!(without.cost.is_none());
+        assert_eq!(with.total_time, without.total_time, "same physics");
     }
 
     #[test]
@@ -1501,7 +1548,8 @@ mod tests {
             .job(
                 ClusterJob::new(pipeline(ModelSpec::nanogpt_3_6b(), 2))
                     .interface(InterfaceKind::Imperative)
-                    .seed(11),
+                    .seed(11)
+                    .tune(|c| c.rpc_jitter = 0.0),
             )
             .job(
                 ClusterJob::new(pipeline(ModelSpec::nanogpt_3_6b(), 2))
@@ -1516,6 +1564,7 @@ mod tests {
         );
         assert_eq!(c.job_config(1).mode, ColocationMode::Mps);
         assert_eq!(c.job_config(0).seed, 11);
+        assert_eq!(c.job_config(0).rpc_jitter, 0.0);
         c.submit_with(
             Submission::new(WorkloadKind::PageRank),
             SubmitOptions::new().affinity(0),

@@ -1,47 +1,38 @@
-//! The `Deployment` session API: the service-style entry point to the
-//! FreeRide middleware.
+//! What one training job of a [`Cluster`] takes in and gives back.
 //!
-//! The paper's middleware is an *online* service — side tasks arrive while
+//! The paper's middleware is an *online* service: side tasks arrive while
 //! pipeline training runs, get placed by Algorithm 1, pause and resume
-//! across bubbles, and leave — yet the original entry point here was a
-//! one-shot batch call. A [`Deployment`] restores the service shape:
+//! across bubbles, and leave. This module holds the two ends of that
+//! service for one job:
 //!
-//! * [`Deployment::builder`] configures mode, interface, seed, and
-//!   schedule fluently;
-//! * [`Deployment::submit`] accepts a [`Submission`] *at any simulated
-//!   time* (an arrival-time event feeds [`SideTaskManager::submit`]
-//!   mid-run), returning a [`TaskHandle`] for per-task outcome lookup or a
-//!   typed [`SubmitError`] carrying the numbers behind a rejection;
-//! * submissions name either a built-in [`WorkloadKind`] or a **custom
-//!   workload** via [`Submission::custom`], backed by the
-//!   [`WorkloadFactory`] trait — the paper's Fig. 6 porting exercise goes
-//!   through the same front door as the six evaluation workloads;
-//! * [`Deployment::run`] executes the whole co-location and returns a
-//!   [`DeploymentReport`] that subsumes the legacy `ColocationRun` and
+//! * a [`Submission`] names either a built-in [`WorkloadKind`] or a
+//!   **custom workload** ([`Submission::custom`], backed by the
+//!   [`WorkloadFactory`] trait), plus its batch size, failure injection,
+//!   and arrival time. Arrivals after t = 0 feed
+//!   [`SideTaskManager::submit`] mid-run. The paper's Fig. 6 porting
+//!   exercise goes through the same front door as the six evaluation
+//!   workloads;
+//! * a [`JobReport`] carries the job's per-task outcomes, rejections,
+//!   bubble accounting, traces, and (when enabled) the paper's
 //!   [`CostReport`].
 //!
-//! The legacy batch functions `run_colocation`/`run_baseline` remain as
-//! thin wrappers so the paper-experiment binaries reproduce identical
-//! numbers.
-//!
-//! Since the cluster API, a `Deployment` is itself a thin wrapper over a
-//! **one-job [`Cluster`]** under the [`MinTasksJob`] policy — same byte
-//! stream, one code path.
+//! Submissions enter through [`Cluster::submit`]; a one-job cluster is
+//! the single-job co-location of the paper.
 //!
 //! [`SideTaskManager::submit`]: crate::manager::SideTaskManager::submit
 //! [`WorkloadKind`]: freeride_tasks::WorkloadKind
+//! [`Cluster`]: crate::Cluster
+//! [`Cluster::submit`]: crate::Cluster::submit
 
-use crate::cluster::{Cluster, ClusterJob, MinTasksJob};
-use crate::config::{ColocationMode, FreeRideConfig, InterfaceKind};
-use crate::fault::{FaultPlan, RetryPolicy, SubmitOptions};
-use crate::health::{HealthReport, Recovery, SupervisorConfig};
+use crate::config::{ColocationMode, FreeRideConfig};
+use crate::fault::RetryPolicy;
+use crate::health::{HealthReport, Recovery};
 use crate::manager::SubmitError;
 use crate::metrics::{evaluate, BubbleBreakdown, CostReport, TaskWork};
-use crate::orchestrator::{ColocationRun, ExecutionOutput, TaskSummary};
-use crate::state::SideTaskState;
-use crate::task::{Misbehavior, StopReason, TaskId};
-use freeride_gpu::{HardwareSpec, MemBytes};
-use freeride_pipeline::{run_training, PipelineConfig, ScheduleKind};
+use crate::orchestrator::{ExecutionOutput, TaskSummary};
+use crate::task::{Misbehavior, TaskId};
+use freeride_gpu::MemBytes;
+use freeride_pipeline::{run_training, PipelineConfig};
 use freeride_sim::{SimDuration, SimTime, TraceRecorder};
 use freeride_tasks::{
     SideTaskWorkload, WorkloadFactory, WorkloadKind, WorkloadProfile, WorkloadTag, DEFAULT_BATCH,
@@ -53,7 +44,7 @@ use std::sync::{Arc, OnceLock};
 /// profiler (or [`Submission::with_step_time`]) says otherwise.
 const CUSTOM_DEFAULT_STEP: SimDuration = SimDuration::from_millis(10);
 
-/// A side task to submit to a deployment: a workload source (built-in
+/// A side task to submit to a cluster: a workload source (built-in
 /// kind or custom factory) plus batch size, failure injection, and an
 /// arrival time for online submissions.
 #[derive(Clone)]
@@ -281,72 +272,14 @@ where
     }
 }
 
-/// A submission the deployment could not serve, kept whole (workload,
+/// A submission the cluster could not serve, kept whole (workload,
 /// batch, misbehavior, arrival) together with the typed reason.
 #[derive(Debug, Clone)]
 pub struct RejectedSubmission {
-    /// The submission as handed to [`Deployment::submit`].
+    /// The submission as handed to [`crate::Cluster::submit_with`].
     pub submission: Submission,
     /// Why it was rejected.
     pub error: SubmitError,
-}
-
-/// Handle to a submitted task: resolves to the task's outcome after
-/// [`Deployment::run`] returns.
-///
-/// Before the run (or if the task was ultimately rejected mid-run — see
-/// [`DeploymentReport::rejected`]) every lookup returns `None`.
-#[derive(Debug, Clone)]
-pub struct TaskHandle {
-    id: TaskId,
-    tag: WorkloadTag,
-    outcome: Arc<OnceLock<TaskSummary>>,
-}
-
-impl TaskHandle {
-    pub(crate) fn new(id: TaskId, tag: WorkloadTag, outcome: Arc<OnceLock<TaskSummary>>) -> Self {
-        TaskHandle { id, tag, outcome }
-    }
-
-    /// The id assigned at submission.
-    pub fn id(&self) -> TaskId {
-        self.id
-    }
-
-    /// Workload identity.
-    pub fn tag(&self) -> &WorkloadTag {
-        &self.tag
-    }
-
-    /// The full outcome, once the run finished.
-    pub fn outcome(&self) -> Option<&TaskSummary> {
-        self.outcome.get()
-    }
-
-    /// Final life-cycle state.
-    pub fn state(&self) -> Option<SideTaskState> {
-        self.outcome().map(|t| t.final_state)
-    }
-
-    /// Steps completed during bubbles.
-    pub fn steps(&self) -> Option<u64> {
-        self.outcome().map(|t| t.steps)
-    }
-
-    /// Why the task stopped.
-    pub fn stop_reason(&self) -> Option<StopReason> {
-        self.outcome().map(|t| t.stop_reason)
-    }
-
-    /// The worker (stage) Algorithm 1 placed the task on.
-    pub fn worker(&self) -> Option<usize> {
-        self.outcome().map(|t| t.worker)
-    }
-
-    /// The workload's last progress metric (loss, delta, estimate…).
-    pub fn last_value(&self) -> Option<f64> {
-        self.outcome().and_then(|t| t.last_value)
-    }
 }
 
 /// An accepted submission waiting for the run.
@@ -362,246 +295,17 @@ pub(crate) struct AcceptedSubmission {
     pub(crate) outcome: Arc<OnceLock<TaskSummary>>,
 }
 
-/// Fluent configuration for a [`Deployment`].
-#[derive(Debug, Clone)]
-pub struct DeploymentBuilder {
-    pipeline: PipelineConfig,
-    cfg: FreeRideConfig,
-    faults: FaultPlan,
-    checkpoint: Option<SimDuration>,
-    supervise: Option<SupervisorConfig>,
-    cost_report: bool,
-}
-
-impl DeploymentBuilder {
-    fn new(pipeline: PipelineConfig) -> Self {
-        DeploymentBuilder {
-            pipeline,
-            cfg: FreeRideConfig::iterative(),
-            faults: FaultPlan::new(),
-            checkpoint: None,
-            supervise: None,
-            cost_report: true,
-        }
-    }
-
-    /// Replaces the whole middleware configuration.
-    pub fn config(mut self, cfg: FreeRideConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Sets the co-location mode (FreeRide, MPS, naive).
-    pub fn mode(mut self, mode: ColocationMode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Runs FreeRide with the given programming interface.
-    pub fn interface(mut self, interface: InterfaceKind) -> Self {
-        self.cfg.mode = ColocationMode::FreeRide(interface);
-        self
-    }
-
-    /// Sets the root seed for all randomness.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the pipeline schedule to train with.
-    pub fn schedule(mut self, schedule: ScheduleKind) -> Self {
-        self.cfg.schedule = schedule;
-        self
-    }
-
-    /// Applies an arbitrary tweak to the configuration (grace period, RPC
-    /// latency, …).
-    pub fn tune(mut self, f: impl FnOnce(&mut FreeRideConfig)) -> Self {
-        f(&mut self.cfg);
-        self
-    }
-
-    /// Replaces the GPU fleet with per-worker hardware (one
-    /// [`HardwareSpec`] per stage, in stage order). Defaults to the
-    /// homogeneous reference fleet the paper evaluates on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-empty `specs` does not have one entry per stage.
-    pub fn hardware(mut self, specs: Vec<HardwareSpec>) -> Self {
-        self.pipeline = self.pipeline.with_hardware(specs);
-        self
-    }
-
-    /// Replaces one worker's hardware, keeping the rest of the fleet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage` is out of range.
-    pub fn worker_hardware(mut self, stage: usize, spec: HardwareSpec) -> Self {
-        self.pipeline = self.pipeline.with_worker_hardware(stage, spec);
-        self
-    }
-
-    /// Whether [`Deployment::run`] also trains the no-side-task baseline
-    /// and fills [`DeploymentReport::cost`] (default: `true`). Disable to
-    /// skip the extra baseline simulation.
-    pub fn cost_report(mut self, enabled: bool) -> Self {
-        self.cost_report = enabled;
-        self
-    }
-
-    /// Attaches a deterministic [`FaultPlan`] (see
-    /// [`crate::ClusterJob::faults`]).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Enables side-task checkpoint/restart every `interval` (see
-    /// [`crate::ClusterJob::checkpoint`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn checkpoint(mut self, interval: SimDuration) -> Self {
-        assert!(!interval.is_zero(), "checkpoint interval must be positive");
-        self.checkpoint = Some(interval);
-        self
-    }
-
-    /// Arms the health subsystem (see [`crate::ClusterJob::supervise`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`SupervisorConfig::validate`].
-    pub fn supervise(mut self, cfg: SupervisorConfig) -> Self {
-        cfg.validate();
-        self.supervise = Some(cfg);
-        self
-    }
-
-    /// Finishes configuration.
-    pub fn build(self) -> Deployment {
-        let mut job = ClusterJob::new(self.pipeline)
-            .config(self.cfg)
-            .faults(self.faults);
-        if let Some(interval) = self.checkpoint {
-            job = job.checkpoint(interval);
-        }
-        if let Some(cfg) = self.supervise {
-            job = job.supervise(cfg);
-        }
-        Deployment {
-            cluster: Cluster::builder()
-                .job(job)
-                .policy(MinTasksJob)
-                .cost_report(self.cost_report)
-                .build(),
-        }
-    }
-}
-
-/// A configured FreeRide deployment accepting side-task submissions.
-///
-/// See the crate docs for the full story; the short version:
-///
-/// ```
-/// use freeride_core::{Deployment, Submission};
-/// use freeride_pipeline::{ModelSpec, PipelineConfig};
-/// use freeride_tasks::WorkloadKind;
-///
-/// let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b())
-///     .with_epochs(3);
-/// let mut deployment = Deployment::builder(pipeline).seed(7).build();
-/// let handle = deployment
-///     .submit(Submission::new(WorkloadKind::PageRank))
-///     .expect("fits bubble memory");
-/// let report = deployment.run();
-/// assert!(handle.steps().unwrap() > 0);
-/// assert!(report.cost.unwrap().cost_savings > 0.0);
-/// ```
-pub struct Deployment {
-    /// A deployment *is* a one-job [`Cluster`] under the [`MinTasksJob`]
-    /// policy — the cluster-level analogue of the paper's Algorithm 1,
-    /// which for a single job defers every placement to the job manager,
-    /// exactly as the pre-cluster orchestrator did.
-    cluster: Cluster,
-}
-
-impl Deployment {
-    /// Starts configuring a deployment for the given pipeline-training
-    /// job.
-    pub fn builder(pipeline: PipelineConfig) -> DeploymentBuilder {
-        DeploymentBuilder::new(pipeline)
-    }
-
-    /// The middleware configuration this deployment runs under.
-    pub fn config(&self) -> &FreeRideConfig {
-        self.cluster.job_config(0)
-    }
-
-    /// Submits a side task. Admission is checked immediately — the bubble
-    /// memory bound of Algorithm 1 does not change over time — so a
-    /// rejection comes back as a typed error with the numbers that caused
-    /// it; placement itself happens in-run at the submission's arrival
-    /// time. Rejected submissions are also kept (whole) in the final
-    /// report.
-    pub fn submit(&mut self, submission: Submission) -> Result<TaskHandle, SubmitError> {
-        self.submit_with(submission, SubmitOptions::new())
-    }
-
-    /// Submits a side task with explicit [`SubmitOptions`] (retry policy,
-    /// priority tag; affinity is meaningless on a one-job deployment and
-    /// ignored) — the same unified front door as
-    /// [`crate::Cluster::submit_with`].
-    pub fn submit_with(
-        &mut self,
-        submission: Submission,
-        opts: SubmitOptions,
-    ) -> Result<TaskHandle, SubmitError> {
-        let opts = SubmitOptions {
-            affinity: None,
-            ..opts
-        };
-        self.cluster
-            .submit_with(submission, opts)
-            .map(|handle| handle.into_task_handle())
-    }
-
-    /// Runs pipeline training co-located with every accepted submission to
-    /// completion and reports per-task outcomes, rejections, bubble
-    /// accounting, traces, and (unless disabled) the paper's cost metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`FreeRideConfig::validate`].
-    pub fn run(self) -> DeploymentReport {
-        let cluster_report = self.cluster.run();
-        let mut jobs = cluster_report.jobs;
-        let mut report = jobs.pop().expect("a deployment wraps exactly one job");
-        // Submission-time rejections precede in-run ones, as they always
-        // did.
-        let mut rejected = cluster_report.rejected;
-        rejected.append(&mut report.rejected);
-        report.rejected = rejected;
-        report
-    }
-}
-
-/// Assembles one job's raw execution output into a [`DeploymentReport`]:
+/// Assembles one job's raw execution output into a [`JobReport`]:
 /// resolves task handles, folds in-run rejections back onto their
 /// submissions, and (when enabled) trains the no-side-task baseline for
-/// the paper's cost metrics. Shared by [`Deployment::run`] and
-/// [`crate::Cluster::run`].
+/// the paper's cost metrics.
 pub(crate) fn assemble_report(
     pipeline: &PipelineConfig,
     cfg: &FreeRideConfig,
     accepted: &[AcceptedSubmission],
     mut outcome: ExecutionOutput,
     cost_report: bool,
-) -> DeploymentReport {
+) -> JobReport {
     // Id-indexed lookups: one map build instead of a linear scan per
     // accepted submission (sweeps submit hundreds of tasks).
     {
@@ -642,7 +346,7 @@ pub(crate) fn assemble_report(
         (None, None)
     };
 
-    DeploymentReport {
+    JobReport {
         mode: cfg.mode,
         total_time: outcome.total_time,
         epoch_times: outcome.epoch_times,
@@ -659,11 +363,11 @@ pub(crate) fn assemble_report(
     }
 }
 
-/// Result of one deployment run: everything the legacy `ColocationRun`
-/// carried, the rejected submissions kept whole, and (when enabled) the
+/// Result of one job of a cluster run: per-task outcomes, the in-run
+/// rejections kept whole, bubble accounting, and (when enabled) the
 /// baseline time plus the paper's §6.1.5 cost metrics.
 #[derive(Debug)]
-pub struct DeploymentReport {
+pub struct JobReport {
     /// The mode that ran.
     pub mode: ColocationMode,
     /// Total pipeline-training time (`T_withSideTasks`).
@@ -672,7 +376,9 @@ pub struct DeploymentReport {
     pub epoch_times: Vec<SimDuration>,
     /// Per-task outcomes, in placement order.
     pub tasks: Vec<TaskSummary>,
-    /// Submissions the deployment could not serve, with typed reasons.
+    /// Submissions admitted at submission time that this job could not
+    /// serve in-run, with typed reasons. Submission-time rejections are
+    /// in [`crate::ClusterReport::rejected`].
     pub rejected: Vec<RejectedSubmission>,
     /// Fig. 9 accounting (FreeRide modes only; zero for baselines).
     pub breakdown: BubbleBreakdown,
@@ -692,7 +398,7 @@ pub struct DeploymentReport {
     /// injection.
     pub recoveries: Vec<Recovery>,
     /// What the health subsystem observed, when a supervisor was armed
-    /// ([`DeploymentBuilder::supervise`]): detector transitions,
+    /// ([`crate::ClusterJob::supervise`]): detector transitions,
     /// time-to-detect/time-to-recover, migrations, hedge outcomes. Empty
     /// (see [`HealthReport::is_empty`]) otherwise.
     pub health: HealthReport,
@@ -703,7 +409,7 @@ pub struct DeploymentReport {
     pub cost: Option<CostReport>,
 }
 
-impl DeploymentReport {
+impl JobReport {
     /// Work records for the cost model.
     pub fn work(&self) -> Vec<TaskWork> {
         self.tasks
@@ -727,108 +433,9 @@ impl DeploymentReport {
     }
 }
 
-impl From<DeploymentReport> for ColocationRun {
-    fn from(report: DeploymentReport) -> Self {
-        ColocationRun {
-            mode: report.mode,
-            total_time: report.total_time,
-            epoch_times: report.epoch_times,
-            tasks: report.tasks,
-            rejected: report.rejected,
-            breakdown: report.breakdown,
-            trace: report.trace,
-            bubbles_reported: report.bubbles_reported,
-            events_processed: report.events_processed,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use freeride_pipeline::ModelSpec;
-
-    fn pipeline(epochs: usize) -> PipelineConfig {
-        PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(epochs)
-    }
-
-    #[test]
-    fn submit_rejects_oversized_with_numbers() {
-        let p = pipeline(3);
-        let best = (0..p.stages)
-            .map(|st| p.stage_free_memory(st))
-            .max()
-            .unwrap();
-        let mut dep = Deployment::builder(p).build();
-        let err = dep
-            .submit(Submission::new(WorkloadKind::Vgg19).with_batch(256))
-            .unwrap_err();
-        let needed = WorkloadKind::Vgg19.profile_with_batch(256).gpu_mem;
-        assert_eq!(
-            err,
-            SubmitError::InsufficientMemory {
-                needed,
-                best_worker_free: best,
-            }
-        );
-    }
-
-    #[test]
-    fn submit_rejects_zero_batch() {
-        let mut dep = Deployment::builder(pipeline(3)).build();
-        let err = dep
-            .submit(Submission::new(WorkloadKind::ResNet18).with_batch(0))
-            .unwrap_err();
-        assert_eq!(err, SubmitError::InvalidBatch { batch: 0 });
-    }
-
-    #[test]
-    fn handles_resolve_after_run() {
-        let mut dep = Deployment::builder(pipeline(3)).seed(11).build();
-        let handle = dep.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
-        assert_eq!(handle.state(), None, "no outcome before run");
-        let report = dep.run();
-        assert_eq!(handle.state(), Some(SideTaskState::Stopped));
-        assert_eq!(handle.stop_reason(), Some(StopReason::Finished));
-        assert!(handle.steps().unwrap() > 0);
-        assert_eq!(
-            report.task(handle.id()).unwrap().steps,
-            handle.steps().unwrap()
-        );
-    }
-
-    #[test]
-    fn rejected_submissions_are_kept_whole_in_the_report() {
-        let mut dep = Deployment::builder(pipeline(2)).build();
-        let _ = dep.submit(Submission::new(WorkloadKind::Vgg19).with_batch(256));
-        dep.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
-        let report = dep.run();
-        assert_eq!(report.rejected.len(), 1);
-        let r = &report.rejected[0];
-        assert_eq!(*r.submission.tag(), WorkloadKind::Vgg19);
-        assert_eq!(r.submission.batch(), 256);
-        assert!(matches!(r.error, SubmitError::InsufficientMemory { .. }));
-        assert_eq!(report.tasks.len(), 1);
-    }
-
-    #[test]
-    fn cost_report_is_optional() {
-        let p = pipeline(3);
-        let mut with = Deployment::builder(p.clone()).build();
-        with.submit(Submission::new(WorkloadKind::PageRank))
-            .unwrap();
-        let with = with.run();
-        assert!(with.cost.is_some());
-        assert!(with.baseline_time.is_some());
-
-        let mut without = Deployment::builder(p).cost_report(false).build();
-        without
-            .submit(Submission::new(WorkloadKind::PageRank))
-            .unwrap();
-        let without = without.run();
-        assert!(without.cost.is_none());
-        assert_eq!(with.total_time, without.total_time, "same physics");
-    }
 
     #[test]
     fn step_time_override_composes_with_batch_in_any_order() {
@@ -866,20 +473,5 @@ mod tests {
             WorkloadProfile::custom(MemBytes::from_gib(1), SimDuration::from_millis(5));
         profile.step_server1 = SimDuration::ZERO;
         let _ = Submission::new(WorkloadKind::PageRank).with_profile(profile);
-    }
-
-    #[test]
-    fn builder_configures_mode_interface_seed() {
-        let dep = Deployment::builder(pipeline(2))
-            .interface(InterfaceKind::Imperative)
-            .seed(99)
-            .tune(|c| c.rpc_jitter = 0.0)
-            .build();
-        assert_eq!(
-            dep.config().mode,
-            ColocationMode::FreeRide(InterfaceKind::Imperative)
-        );
-        assert_eq!(dep.config().seed, 99);
-        assert_eq!(dep.config().rpc_jitter, 0.0);
     }
 }

@@ -119,10 +119,9 @@ pub struct FaultEvent {
 /// A deterministic schedule of fault injections for one job.
 ///
 /// Build it fluently and attach it with
-/// [`ClusterJob::faults`](crate::ClusterJob::faults) (or
-/// [`DeploymentBuilder::faults`](crate::DeploymentBuilder::faults)). The
-/// plan is data, not randomness: the same plan always produces the same
-/// run, which is what makes chaos experiments diffable.
+/// [`ClusterJob::faults`](crate::ClusterJob::faults). The plan is data,
+/// not randomness: the same plan always produces the same run, which is
+/// what makes chaos experiments diffable.
 ///
 /// ```
 /// use freeride_core::{FaultKind, FaultPlan};

@@ -516,7 +516,7 @@ impl Supervisor {
 }
 
 /// Why a recovered task recovered — the attribution
-/// [`DeploymentReport::recoveries`](crate::DeploymentReport::recoveries)
+/// [`JobReport::recoveries`](crate::JobReport::recoveries)
 /// keys latency stats on.
 /// Marked `#[non_exhaustive]`: each new recovery mechanism adds a kind
 /// (hedging was the latest), so downstream matches must carry a `_` arm.

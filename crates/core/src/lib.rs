@@ -12,21 +12,18 @@
 //! * per-GPU **side-task workers** with MPS memory caps, container
 //!   isolation, and the **framework-enforced grace-period kill** of §4.5
 //!   ([`Worker`]);
-//! * the **`Deployment` session API** ([`Deployment`]): a builder-style
-//!   client against the middleware that accepts [`Submission`]s at any
-//!   simulated time (online arrivals), including **custom workloads** via
-//!   [`Submission::custom`], hands back [`TaskHandle`]s for per-task
-//!   outcome lookup, and reports typed [`SubmitError`]s instead of a
-//!   unit rejection;
-//! * the **`Cluster` multi-job API** ([`Cluster`]): N pipeline-training
-//!   jobs — each with its own pipeline, seed, and mode — advancing in
-//!   **one** deterministic simulation behind a single cluster-wide
-//!   admission plane, with pluggable [`PlacementPolicy`] routing
-//!   ([`FirstFit`], [`BestFitMemory`], [`LeastLoaded`], [`FastestFit`],
-//!   [`MinTasksJob`]),
-//!   cross-job spillover on memory pressure, and a [`ClusterReport`]
-//!   aggregating per-job reports plus fleet-level metrics
-//!   ([`Deployment`] is a thin wrapper over a one-job cluster);
+//! * the **`Cluster` session API** ([`Cluster`]), the one way to run a
+//!   co-location: N pipeline-training jobs (one for the paper's setup) —
+//!   each with its own pipeline, seed, and mode — advance in **one**
+//!   deterministic simulation behind a single admission plane. It
+//!   accepts [`Submission`]s at any simulated time (online arrivals),
+//!   including **custom workloads** via [`Submission::custom`], hands
+//!   back [`ClusterTaskHandle`]s for per-task outcome lookup, reports
+//!   typed [`SubmitError`]s instead of a unit rejection, routes through
+//!   pluggable [`PlacementPolicy`]s ([`FirstFit`], [`BestFitMemory`],
+//!   [`LeastLoaded`], [`FastestFit`], [`MinTasksJob`]) with cross-job
+//!   spillover on memory pressure, and returns a [`ClusterReport`]
+//!   aggregating one [`JobReport`] per job plus fleet-level metrics;
 //! * the **chaos layer**: a deterministic [`FaultPlan`] per job (worker
 //!   crashes, stragglers, transient OOM windows, RPC latency spikes)
 //!   plus three composable resilience mechanisms — retry-with-backoff
@@ -52,9 +49,9 @@
 //! * the **orchestrator** wiring the instrumented pipeline trainers,
 //!   managers, and workers together over one latency-modelled RPC bus
 //!   with a job-qualified endpoint namespace (driven by
-//!   [`Deployment::run`] / [`Cluster::run`]; the legacy batch wrapper
-//!   [`run_colocation`] remains for the paper-experiment binaries);
-//! * the **baselines** of §6.1.2 (MPS and naive co-location) and the
+//!   [`Cluster::run`]);
+//! * the **baselines** of §6.1.2 (MPS and naive co-location, plus the
+//!   no-side-task [`run_baseline`]) and the
 //!   **metrics** of §6.1.5 (time increase `I`, cost savings `S`, Fig. 9
 //!   bubble accounting);
 //! * the **observability seams** into [`freeride_obs`]: arming a
@@ -70,18 +67,18 @@
 //! ## Example: harvest bubbles with four PageRank side tasks
 //!
 //! ```
-//! use freeride_core::{Deployment, Submission};
+//! use freeride_core::{Cluster, ClusterJob, Submission};
 //! use freeride_pipeline::{ModelSpec, PipelineConfig};
 //! use freeride_tasks::WorkloadKind;
 //!
 //! let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b())
 //!     .with_epochs(3);
-//! let mut deployment = Deployment::builder(pipeline).build();
+//! let mut cluster = Cluster::builder().job(ClusterJob::new(pipeline)).build();
 //! for sub in Submission::per_worker(WorkloadKind::PageRank, 4) {
-//!     deployment.submit(sub).expect("fits bubble memory");
+//!     cluster.submit(sub).expect("fits bubble memory");
 //! }
-//! let report = deployment.run();
-//! let cost = report.cost.expect("cost report enabled by default");
+//! let report = cluster.run();
+//! let cost = report.jobs[0].cost.expect("cost report enabled by default");
 //! assert!(cost.time_increase < 0.05, "FreeRide overhead stays low");
 //! assert!(cost.cost_savings > 0.0, "harvesting bubbles pays");
 //! ```
@@ -109,9 +106,7 @@ pub use cluster::{
     Placement, PlacementPolicy, WorkerView,
 };
 pub use config::{ColocationMode, FreeRideConfig, InterfaceKind};
-pub use deployment::{
-    Deployment, DeploymentBuilder, DeploymentReport, RejectedSubmission, Submission, TaskHandle,
-};
+pub use deployment::{JobReport, RejectedSubmission, Submission};
 pub use fault::{CircuitBreaker, FaultEvent, FaultKind, FaultPlan, RetryPolicy, SubmitOptions};
 pub use health::{
     AdaptiveAdmission, Brownout, FailureDetector, HealthReport, HealthState, HealthTransition,
@@ -121,9 +116,7 @@ pub use manager::{ManagerCmd, SideTaskManager, SubmitError, WorkerMeta, WorkerPo
 pub use metrics::{
     evaluate, time_increase, BreakdownFractions, BubbleBreakdown, CostReport, TaskWork,
 };
-pub use orchestrator::{
-    run_baseline, run_baseline_with, run_colocation, ColocationRun, TaskSummary,
-};
+pub use orchestrator::{run_baseline, TaskSummary};
 pub use profiler::{profile_side_task, profile_side_task_on, MeasuredProfile};
 pub use service::{
     AdmissionControl, DeadlineLayer, LatencyHistogram, LayerReport, Next, PriorityTag, RateLimit,

@@ -11,10 +11,10 @@
 //! event loop dispatches to exactly one job's state machine — a one-job
 //! cluster is byte-identical to the pre-cluster single-job orchestrator.
 //!
-//! The public entry points are the session-style [`Deployment`] and
-//! [`Cluster`](crate::Cluster) APIs; this module owns the simulation world
-//! they run on, plus the legacy batch wrappers [`run_colocation`] and
-//! [`run_baseline`] kept for the paper-experiment binaries.
+//! The public entry point is the [`Cluster`](crate::Cluster) session API;
+//! this module owns the simulation world it runs on, plus
+//! [`run_baseline`], the vanilla-DeepSpeed training run the paper's
+//! metrics compare against.
 //!
 //! The same orchestrator also runs the two baselines of §6.1.2 — MPS
 //! co-location and naive co-location — by skipping the bubble machinery
@@ -31,13 +31,13 @@
 
 use crate::cluster::{Placement, PlacementPolicy};
 use crate::config::{ColocationMode, FreeRideConfig, InterfaceKind};
-use crate::deployment::{AcceptedSubmission, Deployment, RejectedSubmission, Submission};
+use crate::deployment::{AcceptedSubmission, Submission};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 use crate::health::{
     HealthReport, HealthState, Recovery, RecoveryKind, Supervisor, SupervisorConfig,
 };
 use crate::manager::{ManagerCmd, SideTaskManager, SubmitError};
-use crate::metrics::{BubbleBreakdown, TaskWork};
+use crate::metrics::BubbleBreakdown;
 use crate::state::SideTaskState;
 use crate::task::{Misbehavior, SideTask, StopReason, TaskId};
 use crate::worker::{Worker, WorkerEffect};
@@ -50,7 +50,7 @@ use freeride_rpc::{job_scope, Directory, Endpoint, Envelope, LatencyModel, RpcBu
 use freeride_sim::{
     DetRng, EventId, RunOutcome, Scheduler, SimDuration, SimTime, Simulation, TraceRecorder, World,
 };
-use freeride_tasks::{SideTaskWorkload, WorkloadKind, WorkloadProfile, WorkloadTag};
+use freeride_tasks::{SideTaskWorkload, WorkloadProfile, WorkloadTag};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -78,51 +78,6 @@ pub struct TaskSummary {
     pub last_value: Option<f64>,
     /// The profile it ran under (batch-adjusted).
     pub profile: WorkloadProfile,
-}
-
-/// Result of one co-location run (legacy shape; superseded by
-/// [`crate::DeploymentReport`], which adds baseline time and cost).
-#[derive(Debug)]
-pub struct ColocationRun {
-    /// The mode that ran.
-    pub mode: ColocationMode,
-    /// Total pipeline-training time (`T_withSideTasks`).
-    pub total_time: SimDuration,
-    /// Per-epoch times.
-    pub epoch_times: Vec<SimDuration>,
-    /// Per-task outcomes.
-    pub tasks: Vec<TaskSummary>,
-    /// Submissions rejected by Algorithm 1, kept whole with typed reasons.
-    pub rejected: Vec<RejectedSubmission>,
-    /// Fig. 9 accounting (FreeRide modes only; zero for baselines).
-    pub breakdown: BubbleBreakdown,
-    /// SM-occupancy and memory traces per GPU.
-    pub trace: TraceRecorder,
-    /// Bubble reports delivered to the manager.
-    pub bubbles_reported: u64,
-    /// Discrete events the simulation delivered for this run — the
-    /// denominator-free half of the events/sec throughput metric tracked
-    /// in `BENCH.json`.
-    pub events_processed: u64,
-}
-
-impl ColocationRun {
-    /// Work records for the cost model.
-    pub fn work(&self) -> Vec<TaskWork> {
-        self.tasks
-            .iter()
-            .map(|t| TaskWork::new(&t.profile, t.steps))
-            .collect()
-    }
-
-    /// Total steps across tasks of a kind.
-    pub fn steps_of(&self, kind: WorkloadKind) -> u64 {
-        self.tasks
-            .iter()
-            .filter(|t| t.kind == kind)
-            .map(|t| t.steps)
-            .sum()
-    }
 }
 
 enum Msg {
@@ -1540,8 +1495,8 @@ impl World for ClusterWorld {
     }
 }
 
-/// Raw results of one orchestrated job, assembled by the session APIs into
-/// a [`crate::DeploymentReport`].
+/// Raw results of one orchestrated job, assembled by [`crate::Cluster::run`]
+/// into a [`crate::JobReport`].
 pub(crate) struct ExecutionOutput {
     pub(crate) total_time: SimDuration,
     pub(crate) epoch_times: Vec<SimDuration>,
@@ -2073,38 +2028,9 @@ pub(crate) fn execute_cluster(
     (outputs, profile_report)
 }
 
-/// Legacy batch entry point: runs pipeline training co-located with the
-/// submitted side tasks under the given mode, to completion.
-///
-/// A thin wrapper over the [`Deployment`] session API — every submission
-/// is submitted up front and rejections are folded into
-/// [`ColocationRun::rejected`] instead of surfacing as typed errors.
-pub fn run_colocation(
-    pipeline_cfg: &PipelineConfig,
-    fr_cfg: &FreeRideConfig,
-    submissions: &[Submission],
-) -> ColocationRun {
-    fr_cfg.validate();
-    let mut deployment = Deployment::builder(pipeline_cfg.clone())
-        .config(fr_cfg.clone())
-        .cost_report(false)
-        .build();
-    for sub in submissions {
-        let _ = deployment.submit(sub.clone());
-    }
-    deployment.run().into()
-}
-
 /// Runs the no-side-task baseline with the same pipeline configuration
-/// (vanilla DeepSpeed: no instrumentation overhead).
+/// (vanilla DeepSpeed: 1F1B, no instrumentation overhead).
 pub fn run_baseline(pipeline_cfg: &PipelineConfig) -> SimDuration {
-    run_baseline_with(pipeline_cfg, freeride_pipeline::ScheduleKind::OneFOneB)
-}
-
-/// Baseline under an explicit schedule (the GPipe ablation).
-pub fn run_baseline_with(
-    pipeline_cfg: &PipelineConfig,
-    schedule: freeride_pipeline::ScheduleKind,
-) -> SimDuration {
-    freeride_pipeline::run_training(pipeline_cfg, schedule).total_time
+    freeride_pipeline::run_training(pipeline_cfg, freeride_pipeline::ScheduleKind::OneFOneB)
+        .total_time
 }

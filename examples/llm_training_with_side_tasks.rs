@@ -21,12 +21,25 @@ fn main() {
         ("naive co-location", FreeRideConfig::naive_baseline()),
     ];
 
+    // Each method is a one-job cluster with the mixed workload submitted
+    // up front; the manager places each task by Algorithm 1.
+    let colocate = |cfg: &FreeRideConfig| {
+        let mut cluster = Cluster::builder()
+            .job(ClusterJob::new(pipeline.clone()).config(cfg.clone()))
+            .cost_report(false)
+            .build();
+        for sub in Submission::mixed() {
+            cluster.submit(sub).expect("the mixed workload fits");
+        }
+        cluster.run().jobs.remove(0)
+    };
+
     println!(
         "{:<24} {:>10} {:>10} {:>12} {:>14}",
         "method", "I", "S", "extra cost", "side value"
     );
     for (name, cfg) in methods {
-        let run = run_colocation(&pipeline, &cfg, &Submission::mixed());
+        let run = colocate(&cfg);
         let report = evaluate(baseline, run.total_time, &run.work());
         println!(
             "{:<24} {:>9.1}% {:>9.1}% {:>11}$ {:>13}$",
@@ -40,11 +53,7 @@ fn main() {
 
     println!();
     println!("placement chosen by the manager (Algorithm 1):");
-    let run = run_colocation(
-        &pipeline,
-        &FreeRideConfig::iterative(),
-        &Submission::mixed(),
-    );
+    let run = colocate(&FreeRideConfig::iterative());
     for t in &run.tasks {
         println!(
             "  {:<10} -> stage {} (bubble memory {}), {} steps, ended {:?}",

@@ -10,11 +10,23 @@ use freeride::prelude::*;
 fn main() {
     let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(6);
     let baseline = run_baseline(&pipeline);
+    // Each demonstration is a one-job cluster under the iterative
+    // interface, its misbehaving task submitted up front.
+    let colocate = |subs: Vec<Submission>| {
+        let mut cluster = Cluster::builder()
+            .job(ClusterJob::new(pipeline.clone()))
+            .cost_report(false)
+            .build();
+        for sub in subs {
+            cluster.submit(sub).expect("fits bubble memory");
+        }
+        cluster.run().jobs.remove(0)
+    };
 
     println!("--- execution-time limit (framework-enforced) ---");
     let rogue =
         vec![Submission::new(WorkloadKind::ResNet18).with_misbehavior(Misbehavior::IgnorePause)];
-    let run = run_colocation(&pipeline, &FreeRideConfig::iterative(), &rogue);
+    let run = colocate(rogue);
     let t = &run.tasks[0];
     println!(
         "a ResNet18 task ignored PauseSideTask: {:?} after {} steps",
@@ -34,7 +46,7 @@ fn main() {
                 per_step: MemBytes::from_gib(1),
             }),
         ];
-    let run = run_colocation(&pipeline, &FreeRideConfig::iterative(), &leaky);
+    let run = colocate(leaky);
     let t = &run.tasks[0];
     println!(
         "a ResNet18 task leaked 1 GiB/step against its cap: {:?} after {} steps",
@@ -56,7 +68,7 @@ fn main() {
     println!("--- crash containment (Docker-style isolation) ---");
     let crashy = vec![Submission::new(WorkloadKind::GraphSgd)
         .with_misbehavior(Misbehavior::CrashAfter { steps: 10 })];
-    let run = run_colocation(&pipeline, &FreeRideConfig::iterative(), &crashy);
+    let run = colocate(crashy);
     println!(
         "a Graph SGD task crashed after 10 steps: {:?}; training {:+.2}%",
         run.tasks[0].stop_reason,

@@ -29,25 +29,29 @@
 //! let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b())
 //!     .with_epochs(4);
 //!
-//! // A deployment is the middleware as a service: configure it, submit
-//! // side tasks (at any simulated time), run, inspect per-task outcomes.
-//! let mut deployment = Deployment::builder(pipeline)
-//!     .interface(InterfaceKind::Iterative)
-//!     .seed(0xF1EE)
+//! // A cluster is the middleware as a service: configure its training
+//! // job(s), submit side tasks (at any simulated time), run, inspect
+//! // per-task outcomes. One job is the paper's setup.
+//! let mut cluster = Cluster::builder()
+//!     .job(
+//!         ClusterJob::new(pipeline)
+//!             .interface(InterfaceKind::Iterative)
+//!             .seed(0xF1EE),
+//!     )
 //!     .build();
 //!
 //! // Two PageRank side tasks up front, plus one arriving mid-training —
 //! // Algorithm 1 places it on a still-idle worker and it starts
 //! // harvesting the bubbles that remain.
 //! for sub in Submission::per_worker(WorkloadKind::PageRank, 2) {
-//!     deployment.submit(sub).expect("fits bubble memory");
+//!     cluster.submit(sub).expect("fits bubble memory");
 //! }
-//! let late = deployment
+//! let late = cluster
 //!     .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(2_000)))
 //!     .expect("online arrivals share the same front door");
 //!
-//! let report = deployment.run();
-//! let cost = report.cost.expect("cost report enabled by default");
+//! let report = cluster.run();
+//! let cost = report.jobs[0].cost.expect("cost report enabled by default");
 //! assert!(cost.time_increase < 0.02); // ~1% overhead
 //! assert!(cost.cost_savings > 0.05);  // real savings
 //! assert!(late.steps().unwrap() > 0); // the online task did real work
@@ -68,16 +72,15 @@ pub use freeride_tasks as tasks;
 /// The most commonly used types, for glob import.
 pub mod prelude {
     pub use freeride_core::{
-        evaluate, run_baseline, run_colocation, time_increase, AdaptiveAdmission, AdmissionControl,
-        BestFitMemory, BreakerState, Brownout, CircuitBreaker, Cluster, ClusterBuilder, ClusterJob,
-        ClusterReport, ClusterTaskHandle, ClusterView, ColocationMode, ColocationRun, CostReport,
-        DeadlineLayer, Deployment, DeploymentBuilder, DeploymentReport, FailureDetector,
+        evaluate, run_baseline, time_increase, AdaptiveAdmission, AdmissionControl, BestFitMemory,
+        BreakerState, Brownout, CircuitBreaker, Cluster, ClusterBuilder, ClusterJob, ClusterReport,
+        ClusterTaskHandle, ClusterView, ColocationMode, CostReport, DeadlineLayer, FailureDetector,
         FastestFit, FaultEvent, FaultKind, FaultPlan, FirstFit, FreeRideConfig, HealthReport,
-        HealthState, HealthTransition, InterfaceKind, JobView, LatencyHistogram, LayerReport,
-        LeastLoaded, MinTasksJob, Misbehavior, Next, Placement, PlacementPolicy, PriorityTag,
-        RateLimit, RateLimitMode, Recovery, RecoveryKind, RejectedSubmission, RetryPolicy,
-        ServiceMetrics, ServiceReport, SideTaskManager, SideTaskState, StopReason, Submission,
-        SubmitError, SubmitMiddleware, SubmitOptions, Supervisor, SupervisorConfig, TaskHandle,
+        HealthState, HealthTransition, InterfaceKind, JobReport, JobView, LatencyHistogram,
+        LayerReport, LeastLoaded, MinTasksJob, Misbehavior, Next, Placement, PlacementPolicy,
+        PriorityTag, RateLimit, RateLimitMode, Recovery, RecoveryKind, RejectedSubmission,
+        RetryPolicy, ServiceMetrics, ServiceReport, SideTaskManager, SideTaskState, StopReason,
+        Submission, SubmitError, SubmitMiddleware, SubmitOptions, Supervisor, SupervisorConfig,
         TaskId, TaskSummary, TenantQuota, TenantStats, Transition, WorkerPolicy, WorkerView,
         DEFAULT_TENANT,
     };

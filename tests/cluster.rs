@@ -172,7 +172,9 @@ fn placement_policies_disagree_on_a_contended_cluster() {
 #[test]
 fn spillover_admits_what_a_single_job_rejects() {
     // Alone, the 6B job's best worker offers only ~9.4 GiB.
-    let mut alone = Deployment::builder(pipeline(ModelSpec::nanogpt_6b(), 2)).build();
+    let mut alone = Cluster::builder()
+        .job(ClusterJob::new(pipeline(ModelSpec::nanogpt_6b(), 2)))
+        .build();
     let err = alone.submit(task_of(12)).unwrap_err();
     let SubmitError::InsufficientMemory {
         needed,
@@ -207,10 +209,12 @@ fn spillover_admits_what_a_single_job_rejects() {
     assert_eq!(handle.worker(), Some(2));
 }
 
-/// The deployment wrapper and a one-job cluster agree exactly — the
-/// wrapper *is* a one-job cluster.
+/// A one-job cluster built with the defaults is exactly the paper's
+/// single-job co-location: the `MinTasksJob` policy (which defers every
+/// placement to the job manager's Algorithm 1) and an RPC bus seeded with
+/// the job's own seed. Spelling both out changes nothing.
 #[test]
-fn one_job_cluster_matches_deployment() {
+fn one_job_cluster_defaults_match_explicit_policy_and_seed() {
     let submissions = || {
         vec![
             Submission::new(WorkloadKind::PageRank),
@@ -218,14 +222,18 @@ fn one_job_cluster_matches_deployment() {
         ]
     };
 
-    let mut dep = Deployment::builder(pipeline(ModelSpec::nanogpt_3_6b(), 3))
+    let mut explicit = Cluster::builder()
+        .job(ClusterJob::new(pipeline(ModelSpec::nanogpt_3_6b(), 3)).seed(9))
+        .policy(MinTasksJob)
         .seed(9)
         .cost_report(false)
         .build();
     for s in submissions() {
-        dep.submit(s).unwrap();
+        explicit.submit(s).unwrap();
     }
-    let dep_report = dep.run();
+    let explicit = explicit.run();
+    assert_eq!(explicit.jobs.len(), 1);
+    let reference = &explicit.jobs[0];
 
     let mut cluster = Cluster::builder()
         .job(ClusterJob::new(pipeline(ModelSpec::nanogpt_3_6b(), 3)).seed(9))
@@ -238,11 +246,11 @@ fn one_job_cluster_matches_deployment() {
 
     assert_eq!(cluster_report.jobs.len(), 1);
     let job = &cluster_report.jobs[0];
-    assert_eq!(job.total_time, dep_report.total_time);
-    assert_eq!(job.events_processed, dep_report.events_processed);
-    assert_eq!(job.bubbles_reported, dep_report.bubbles_reported);
-    assert_eq!(job.tasks.len(), dep_report.tasks.len());
-    for (a, b) in job.tasks.iter().zip(&dep_report.tasks) {
+    assert_eq!(job.total_time, reference.total_time);
+    assert_eq!(job.events_processed, reference.events_processed);
+    assert_eq!(job.bubbles_reported, reference.bubbles_reported);
+    assert_eq!(job.tasks.len(), reference.tasks.len());
+    for (a, b) in job.tasks.iter().zip(&reference.tasks) {
         assert_eq!(a.worker, b.worker);
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.final_state, b.final_state);

@@ -1,11 +1,16 @@
-//! The `Deployment` session API, end to end: online submissions, custom
-//! workloads through the public front door, task handles, typed errors,
-//! and equivalence with the legacy batch wrapper.
+//! A one-job deployment through the `Cluster` session API, end to end:
+//! online submissions, custom workloads through the public front door,
+//! task handles, typed errors, baseline modes, and the cost report.
 
 use freeride::prelude::*;
 
 fn pipeline(epochs: usize) -> PipelineConfig {
     PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(epochs)
+}
+
+/// A one-job cluster training `job` (cost report on, as by default).
+fn one_job(job: ClusterJob) -> Cluster {
+    Cluster::builder().job(job).build()
 }
 
 /// A minimal custom workload: counts up, reports the count.
@@ -49,12 +54,12 @@ fn counter_submission() -> Submission {
 
 #[test]
 fn custom_workload_runs_full_lifecycle_through_public_api() {
-    let mut dep = Deployment::builder(pipeline(4)).seed(1).build();
-    let handle = dep.submit(counter_submission()).expect("1 GiB fits");
-    let report = dep.run();
+    let mut cluster = one_job(ClusterJob::new(pipeline(4)).seed(1));
+    let handle = cluster.submit(counter_submission()).expect("1 GiB fits");
+    let report = cluster.run();
 
     // The custom task appears in the report under its own name…
-    let task = report.task(handle.id()).expect("in report");
+    let task = report.jobs[0].task(handle.id()).expect("in report");
     assert_eq!(task.kind, WorkloadTag::Custom("counter".into()));
     assert_eq!(task.kind.name(), "counter");
     // …went through the manager's full lifecycle (Create → Init → Start →
@@ -72,53 +77,59 @@ fn custom_workload_runs_full_lifecycle_through_public_api() {
 
 #[test]
 fn mid_run_submission_is_placed_and_completes_steps() {
-    let mut dep = Deployment::builder(pipeline(6)).seed(2).build();
+    let mut cluster = one_job(ClusterJob::new(pipeline(6)).seed(2));
     // Fill workers 1 and 2 so placement of the late arrival is visible.
-    dep.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
-    dep.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
+    cluster
+        .submit(Submission::new(WorkloadKind::PageRank))
+        .unwrap();
+    cluster
+        .submit(Submission::new(WorkloadKind::PageRank))
+        .unwrap();
     // Arrives 3 s into a ~25 s run.
-    let late = dep
+    let late = cluster
         .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(3_000)))
         .expect("admission is time-independent");
-    let report = dep.run();
+    let report = cluster.run();
 
     assert!(
-        report.total_time > SimDuration::from_millis(3_000),
+        report.jobs[0].total_time > SimDuration::from_millis(3_000),
         "arrival fell inside the run"
     );
     let outcome = late.outcome().expect("placed and ran");
     assert!(outcome.steps > 0, "mid-run arrival harvested bubbles");
     assert_eq!(outcome.final_state, SideTaskState::Stopped);
     assert_eq!(outcome.stop_reason, StopReason::Finished);
-    assert_eq!(report.tasks.len(), 3);
-    assert!(report.rejected.is_empty());
+    assert_eq!(report.jobs[0].tasks.len(), 3);
+    assert_eq!(report.total_rejections(), 0);
 }
 
 #[test]
 fn custom_workload_can_arrive_mid_run() {
-    let mut dep = Deployment::builder(pipeline(5)).seed(3).build();
-    let late = dep
+    let mut cluster = one_job(ClusterJob::new(pipeline(5)).seed(3));
+    let late = cluster
         .submit(counter_submission().at(SimTime::from_millis(2_500)))
         .unwrap();
-    dep.run();
+    cluster.run();
     assert!(late.steps().unwrap() > 0);
     assert_eq!(late.stop_reason(), Some(StopReason::Finished));
 }
 
 #[test]
 fn arrival_after_training_end_is_rejected_with_typed_error() {
-    let p = pipeline(2);
-    let mut dep = Deployment::builder(p).seed(4).build();
+    let mut cluster = one_job(ClusterJob::new(pipeline(2)).seed(4));
     // A 2-epoch run lasts ~8 s; an arrival at t = 10 min cannot be served.
-    let ghost = dep
+    let ghost = cluster
         .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(600_000)))
         .expect("admission alone cannot know the run will end first");
-    let report = dep.run();
+    let report = cluster.run();
 
     assert!(ghost.outcome().is_none(), "never placed");
-    assert_eq!(report.tasks.len(), 0);
-    assert_eq!(report.rejected.len(), 1);
-    let r = &report.rejected[0];
+    // Admitted at submission, rejected in-run: the job keeps it.
+    assert!(report.rejected.is_empty());
+    let job = &report.jobs[0];
+    assert_eq!(job.tasks.len(), 0);
+    assert_eq!(job.rejected.len(), 1);
+    let r = &job.rejected[0];
     assert_eq!(*r.submission.tag(), WorkloadKind::PageRank);
     assert!(
         matches!(r.error, SubmitError::ArrivedAfterShutdown { arrival }
@@ -129,33 +140,13 @@ fn arrival_after_training_end_is_rejected_with_typed_error() {
 }
 
 #[test]
-fn batch_deployment_matches_legacy_run_colocation_exactly() {
-    let p = pipeline(4);
-    let cfg = FreeRideConfig::iterative().with_seed(7);
-    let legacy = run_colocation(&p, &cfg, &Submission::mixed());
-
-    let mut dep = Deployment::builder(p).config(cfg).build();
-    for sub in Submission::mixed() {
-        dep.submit(sub).unwrap();
-    }
-    let report = dep.run();
-
-    assert_eq!(report.total_time, legacy.total_time);
-    assert_eq!(report.epoch_times, legacy.epoch_times);
-    assert_eq!(report.bubbles_reported, legacy.bubbles_reported);
-    let steps: Vec<u64> = report.tasks.iter().map(|t| t.steps).collect();
-    let legacy_steps: Vec<u64> = legacy.tasks.iter().map(|t| t.steps).collect();
-    assert_eq!(steps, legacy_steps, "wrapper and session API agree");
-}
-
-#[test]
 fn handles_expose_placement_and_progress() {
-    let mut dep = Deployment::builder(pipeline(4)).seed(9).build();
-    let handles: Vec<TaskHandle> = Submission::mixed()
+    let mut cluster = one_job(ClusterJob::new(pipeline(4)).seed(9));
+    let handles: Vec<ClusterTaskHandle> = Submission::mixed()
         .into_iter()
-        .map(|s| dep.submit(s).unwrap())
+        .map(|s| cluster.submit(s).unwrap())
         .collect();
-    let report = dep.run();
+    let report = cluster.run();
     let mut workers: Vec<usize> = handles.iter().map(|h| h.worker().unwrap()).collect();
     workers.sort_unstable();
     workers.dedup();
@@ -163,7 +154,11 @@ fn handles_expose_placement_and_progress() {
     for h in &handles {
         assert!(h.steps().unwrap() > 0, "{:?}", h.tag());
         assert!(h.last_value().is_some(), "progress metric surfaced");
-        assert_eq!(report.task(h.id()).unwrap().steps, h.steps().unwrap());
+        assert_eq!(h.job(), 0);
+        assert_eq!(
+            report.jobs[0].task(h.id()).unwrap().steps,
+            h.steps().unwrap()
+        );
     }
 }
 
@@ -173,29 +168,24 @@ fn online_arrivals_work_under_the_baseline_modes_too() {
         FreeRideConfig::mps_baseline(),
         FreeRideConfig::naive_baseline(),
     ] {
-        let mut dep = Deployment::builder(pipeline(3)).config(cfg).build();
-        let late = dep
+        let mut cluster = one_job(ClusterJob::new(pipeline(3)).config(cfg));
+        let late = cluster
             .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(2_000)))
             .unwrap();
-        let report = dep.run();
-        assert_eq!(
-            late.state(),
-            Some(SideTaskState::Stopped),
-            "{:?}",
-            report.mode
-        );
-        assert!(late.steps().unwrap() > 0, "{:?}", report.mode);
+        let mode = cluster.run().jobs[0].mode;
+        assert_eq!(late.state(), Some(SideTaskState::Stopped), "{mode:?}");
+        assert!(late.steps().unwrap() > 0, "{mode:?}");
     }
 }
 
 #[test]
 fn cost_report_subsumes_the_legacy_evaluate_call() {
     let p = pipeline(4);
-    let mut dep = Deployment::builder(p.clone()).seed(5).build();
+    let mut cluster = one_job(ClusterJob::new(p.clone()).seed(5));
     for sub in Submission::per_worker(WorkloadKind::PageRank, 4) {
-        dep.submit(sub).unwrap();
+        cluster.submit(sub).unwrap();
     }
-    let report = dep.run();
+    let report = cluster.run().jobs.remove(0);
     let cost = report.cost.as_ref().expect("enabled by default");
     // Identical to evaluating by hand with the legacy pieces.
     let baseline = run_baseline(&p);

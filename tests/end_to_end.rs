@@ -8,17 +8,30 @@ fn pipeline(epochs: usize) -> PipelineConfig {
     PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(epochs)
 }
 
+/// One training job co-located with `subs`, all submitted up front;
+/// submissions that do not fit stay in [`ClusterReport::rejected`].
+fn colocate(p: &PipelineConfig, cfg: &FreeRideConfig, subs: &[Submission]) -> ClusterReport {
+    let mut cluster = Cluster::builder()
+        .job(ClusterJob::new(p.clone()).config(cfg.clone()))
+        .cost_report(false)
+        .build();
+    for sub in subs {
+        let _ = cluster.submit(sub.clone());
+    }
+    cluster.run()
+}
+
 #[test]
 fn freeride_iterative_has_about_one_percent_overhead() {
     let p = pipeline(6);
     let baseline = run_baseline(&p);
     for kind in WorkloadKind::ALL {
-        let run = run_colocation(
+        let run = colocate(
             &p,
             &FreeRideConfig::iterative(),
             &Submission::per_worker(kind, 4),
         );
-        let i = time_increase(baseline, run.total_time);
+        let i = time_increase(baseline, run.jobs[0].total_time);
         assert!(
             (0.0..0.025).contains(&i),
             "{kind:?}: iterative overhead {i} outside ~1% band"
@@ -31,12 +44,12 @@ fn freeride_saves_money_for_every_workload() {
     let p = pipeline(6);
     let baseline = run_baseline(&p);
     for kind in WorkloadKind::ALL {
-        let run = run_colocation(
+        let run = colocate(
             &p,
             &FreeRideConfig::iterative(),
             &Submission::per_worker(kind, 4),
         );
-        let report = evaluate(baseline, run.total_time, &run.work());
+        let report = evaluate(baseline, run.jobs[0].total_time, &run.jobs[0].work());
         assert!(
             report.cost_savings > 0.02,
             "{kind:?}: savings {} too small",
@@ -60,10 +73,10 @@ fn imperative_interface_costs_more_than_iterative() {
     let mut imp_total = 0.0;
     for kind in WorkloadKind::ALL {
         let subs = Submission::per_worker(kind, 4);
-        let it = run_colocation(&p, &FreeRideConfig::iterative(), &subs);
-        let im = run_colocation(&p, &FreeRideConfig::imperative(), &subs);
-        iter_total += time_increase(baseline, it.total_time);
-        imp_total += time_increase(baseline, im.total_time);
+        let it = colocate(&p, &FreeRideConfig::iterative(), &subs);
+        let im = colocate(&p, &FreeRideConfig::imperative(), &subs);
+        iter_total += time_increase(baseline, it.jobs[0].total_time);
+        imp_total += time_increase(baseline, im.jobs[0].total_time);
     }
     assert!(
         imp_total > iter_total,
@@ -77,12 +90,12 @@ fn baselines_are_much_worse_than_freeride() {
     let baseline = run_baseline(&p);
     for kind in WorkloadKind::ALL {
         let subs = Submission::per_worker(kind, 4);
-        let fr = run_colocation(&p, &FreeRideConfig::iterative(), &subs);
-        let mps = run_colocation(&p, &FreeRideConfig::mps_baseline(), &subs);
-        let naive = run_colocation(&p, &FreeRideConfig::naive_baseline(), &subs);
-        let i_fr = time_increase(baseline, fr.total_time);
-        let i_mps = time_increase(baseline, mps.total_time);
-        let i_naive = time_increase(baseline, naive.total_time);
+        let fr = colocate(&p, &FreeRideConfig::iterative(), &subs);
+        let mps = colocate(&p, &FreeRideConfig::mps_baseline(), &subs);
+        let naive = colocate(&p, &FreeRideConfig::naive_baseline(), &subs);
+        let i_fr = time_increase(baseline, fr.jobs[0].total_time);
+        let i_mps = time_increase(baseline, mps.jobs[0].total_time);
+        let i_naive = time_increase(baseline, naive.jobs[0].total_time);
         assert!(
             i_mps > 4.0 * i_fr,
             "{kind:?}: MPS {i_mps} vs FreeRide {i_fr}"
@@ -100,17 +113,17 @@ fn graph_sgd_mps_anomaly_reproduces() {
     // by >200% (the init ramp dilutes short runs, so allow a little slack).
     let p = pipeline(10);
     let baseline = run_baseline(&p);
-    let run = run_colocation(
+    let run = colocate(
         &p,
         &FreeRideConfig::mps_baseline(),
         &Submission::per_worker(WorkloadKind::GraphSgd, 4),
     );
-    let i = time_increase(baseline, run.total_time);
+    let i = time_increase(baseline, run.jobs[0].total_time);
     assert!(
         i > 1.8,
         "SGD under MPS must be catastrophic (~231%), got {i}"
     );
-    let report = evaluate(baseline, run.total_time, &run.work());
+    let report = evaluate(baseline, run.jobs[0].total_time, &run.jobs[0].work());
     assert!(
         report.cost_savings < -0.5,
         "and lose money: {}",
@@ -124,8 +137,8 @@ fn mixed_workload_beats_single_workload_average() {
     // each task on the worker whose bubbles fit it best.
     let p = pipeline(6);
     let baseline = run_baseline(&p);
-    let run = run_colocation(&p, &FreeRideConfig::iterative(), &Submission::mixed());
-    let report = evaluate(baseline, run.total_time, &run.work());
+    let run = colocate(&p, &FreeRideConfig::iterative(), &Submission::mixed());
+    let report = evaluate(baseline, run.jobs[0].total_time, &run.jobs[0].work());
     assert!(
         report.cost_savings > 0.06,
         "mixed savings {}",
@@ -133,10 +146,10 @@ fn mixed_workload_beats_single_workload_average() {
     );
     assert!(report.time_increase < 0.02);
     // All four tasks were admitted (no rejection).
-    assert!(run.rejected.is_empty());
-    assert_eq!(run.tasks.len(), 4);
+    assert_eq!(run.total_rejections(), 0);
+    assert_eq!(run.jobs[0].tasks.len(), 4);
     // They landed on four distinct workers.
-    let mut workers: Vec<usize> = run.tasks.iter().map(|t| t.worker).collect();
+    let mut workers: Vec<usize> = run.jobs[0].tasks.iter().map(|t| t.worker).collect();
     workers.sort_unstable();
     workers.dedup();
     assert_eq!(workers.len(), 4);
@@ -147,27 +160,27 @@ fn vgg_and_image_are_confined_to_late_stages() {
     // Their footprints exceed the bubble memory of stages 0 and 1.
     let p = pipeline(4);
     for kind in [WorkloadKind::Vgg19, WorkloadKind::ImageProc] {
-        let run = run_colocation(
+        let run = colocate(
             &p,
             &FreeRideConfig::iterative(),
             &Submission::per_worker(kind, 4),
         );
-        for t in &run.tasks {
+        for t in &run.jobs[0].tasks {
             assert!(
                 t.worker >= 2,
                 "{kind:?} must not be placed on stage {}",
                 t.worker
             );
         }
-        assert!(run.breakdown.unused_oom > freeride::sim::SimDuration::ZERO);
+        assert!(run.jobs[0].breakdown.unused_oom > freeride::sim::SimDuration::ZERO);
     }
 }
 
 #[test]
 fn all_tasks_stop_cleanly_at_training_end() {
     let p = pipeline(4);
-    let run = run_colocation(&p, &FreeRideConfig::iterative(), &Submission::mixed());
-    for t in &run.tasks {
+    let run = colocate(&p, &FreeRideConfig::iterative(), &Submission::mixed());
+    for t in &run.jobs[0].tasks {
         assert_eq!(t.final_state, SideTaskState::Stopped, "{:?}", t.kind);
         assert_eq!(t.stop_reason, StopReason::Finished, "{:?}", t.kind);
         assert!(t.steps > 0, "{:?} did no work", t.kind);
@@ -179,12 +192,12 @@ fn side_tasks_make_real_progress() {
     // The steps counted by the middleware are real computations: the
     // workloads' own counters agree.
     let p = pipeline(4);
-    let run = run_colocation(
+    let run = colocate(
         &p,
         &FreeRideConfig::iterative(),
         &Submission::per_worker(WorkloadKind::PageRank, 4),
     );
-    let total: u64 = run.tasks.iter().map(|t| t.steps).sum();
+    let total: u64 = run.jobs[0].tasks.iter().map(|t| t.steps).sum();
     assert!(
         total > 100,
         "PageRank should complete many iterations: {total}"
@@ -194,14 +207,14 @@ fn side_tasks_make_real_progress() {
 #[test]
 fn bubble_reports_flow_once_profiling_ends() {
     let p = pipeline(5);
-    let run = run_colocation(
+    let run = colocate(
         &p,
         &FreeRideConfig::iterative(),
         &Submission::per_worker(WorkloadKind::ResNet18, 4),
     );
     // 1 profiling epoch + 4 serving epochs; the 3.6B profile has 15
     // reportable bubbles per epoch.
-    assert_eq!(run.bubbles_reported, 4 * 15);
+    assert_eq!(run.jobs[0].bubbles_reported, 4 * 15);
 }
 
 #[test]
@@ -213,8 +226,8 @@ fn more_micro_batches_mean_less_harvest() {
             .with_micro_batches(mb)
             .with_epochs(5);
         let baseline = run_baseline(&p);
-        let run = run_colocation(&p, &cfg, &Submission::per_worker(WorkloadKind::PageRank, 4));
-        let report = evaluate(baseline, run.total_time, &run.work());
+        let run = colocate(&p, &cfg, &Submission::per_worker(WorkloadKind::PageRank, 4));
+        let report = evaluate(baseline, run.jobs[0].total_time, &run.jobs[0].work());
         savings.push(report.cost_savings);
     }
     assert!(

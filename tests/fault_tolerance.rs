@@ -9,16 +9,29 @@ fn pipeline(epochs: usize) -> PipelineConfig {
     PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(epochs)
 }
 
+/// One training job co-located with `subs`, all submitted up front;
+/// submissions that do not fit stay in [`ClusterReport::rejected`].
+fn colocate(p: &PipelineConfig, cfg: &FreeRideConfig, subs: &[Submission]) -> ClusterReport {
+    let mut cluster = Cluster::builder()
+        .job(ClusterJob::new(p.clone()).config(cfg.clone()))
+        .cost_report(false)
+        .build();
+    for sub in subs {
+        let _ = cluster.submit(sub.clone());
+    }
+    cluster.run()
+}
+
 #[test]
 fn rogue_task_is_grace_killed_and_training_survives() {
     let p = pipeline(6);
     let baseline = run_baseline(&p);
     let rogue =
         vec![Submission::new(WorkloadKind::ResNet18).with_misbehavior(Misbehavior::IgnorePause)];
-    let run = run_colocation(&p, &FreeRideConfig::iterative(), &rogue);
-    assert_eq!(run.tasks[0].stop_reason, StopReason::KilledGrace);
-    assert_eq!(run.tasks[0].final_state, SideTaskState::Stopped);
-    let i = time_increase(baseline, run.total_time);
+    let run = colocate(&p, &FreeRideConfig::iterative(), &rogue);
+    assert_eq!(run.jobs[0].tasks[0].stop_reason, StopReason::KilledGrace);
+    assert_eq!(run.jobs[0].tasks[0].final_state, SideTaskState::Stopped);
+    let i = time_increase(baseline, run.jobs[0].total_time);
     assert!(
         i < 0.05,
         "the grace kill must bound a rogue task's damage: {i}"
@@ -38,8 +51,8 @@ fn memory_leak_is_oom_killed_without_touching_training_memory() {
             per_step: MemBytes::from_gib(1),
         }),
     );
-    let run = run_colocation(&p, &FreeRideConfig::iterative(), &leaky);
-    let task = run
+    let run = colocate(&p, &FreeRideConfig::iterative(), &leaky);
+    let task = run.jobs[0]
         .tasks
         .iter()
         .find(|t| t.kind == WorkloadKind::ResNet18)
@@ -47,7 +60,7 @@ fn memory_leak_is_oom_killed_without_touching_training_memory() {
     assert_eq!(task.stop_reason, StopReason::KilledOom);
 
     // The worker GPU's memory returns exactly to the training footprint.
-    let series = run
+    let series = run.jobs[0]
         .trace
         .series(&format!("gpu{}.mem", task.worker))
         .expect("memory trace");
@@ -64,10 +77,10 @@ fn crashing_task_is_contained() {
     let baseline = run_baseline(&p);
     let crashy = vec![Submission::new(WorkloadKind::PageRank)
         .with_misbehavior(Misbehavior::CrashAfter { steps: 20 })];
-    let run = run_colocation(&p, &FreeRideConfig::iterative(), &crashy);
-    assert_eq!(run.tasks[0].stop_reason, StopReason::Crashed);
-    assert!(run.tasks[0].steps >= 20);
-    let i = time_increase(baseline, run.total_time);
+    let run = colocate(&p, &FreeRideConfig::iterative(), &crashy);
+    assert_eq!(run.jobs[0].tasks[0].stop_reason, StopReason::Crashed);
+    assert!(run.jobs[0].tasks[0].steps >= 20);
+    let i = time_increase(baseline, run.jobs[0].total_time);
     assert!(i < 0.02, "a crash must not hurt training: {i}");
 }
 
@@ -85,20 +98,20 @@ fn queued_task_takes_over_after_a_kill() {
         // Fifth task queues behind one of the four.
         Submission::new(WorkloadKind::GraphSgd),
     ];
-    let run = run_colocation(&p, &FreeRideConfig::iterative(), &subs);
-    let crashed = run
+    let run = colocate(&p, &FreeRideConfig::iterative(), &subs);
+    let crashed = run.jobs[0]
         .tasks
         .iter()
         .filter(|t| t.stop_reason == StopReason::Crashed)
         .count();
     assert_eq!(crashed, 1);
     // The queued task got promoted and did work.
-    let finished_with_work = run
+    let finished_with_work = run.jobs[0]
         .tasks
         .iter()
         .filter(|t| t.stop_reason == StopReason::Finished && t.steps > 0)
         .count();
-    assert!(finished_with_work >= 4, "{:?}", run.tasks);
+    assert!(finished_with_work >= 4, "{:?}", run.jobs[0].tasks);
 }
 
 #[test]
@@ -111,20 +124,20 @@ fn misbehaving_neighbour_does_not_affect_other_workers() {
             per_step: MemBytes::from_gib(2),
         }),
     );
-    let run = run_colocation(&p, &FreeRideConfig::iterative(), &subs);
-    let healthy_steps: u64 = run
+    let run = colocate(&p, &FreeRideConfig::iterative(), &subs);
+    let healthy_steps: u64 = run.jobs[0]
         .tasks
         .iter()
         .filter(|t| t.kind == WorkloadKind::PageRank)
         .map(|t| t.steps)
         .sum();
 
-    let clean = run_colocation(
+    let clean = colocate(
         &p,
         &FreeRideConfig::iterative(),
         &Submission::per_worker(WorkloadKind::PageRank, 4),
     );
-    let clean_steps: u64 = clean.tasks.iter().map(|t| t.steps).sum();
+    let clean_steps: u64 = clean.jobs[0].tasks.iter().map(|t| t.steps).sum();
     // The leaky task shares one worker's queue; the other three workers'
     // PageRank instances are untouched, so at least 3/4 of the clean
     // throughput must survive.
@@ -144,9 +157,9 @@ fn grace_period_scales_rogue_damage() {
     for grace_ms in [100u64, 2000] {
         let mut cfg = FreeRideConfig::iterative();
         cfg.grace_period = SimDuration::from_millis(grace_ms);
-        let run = run_colocation(&p, &cfg, &rogue);
-        assert_eq!(run.tasks[0].stop_reason, StopReason::KilledGrace);
-        damages.push(time_increase(baseline, run.total_time));
+        let run = colocate(&p, &cfg, &rogue);
+        assert_eq!(run.jobs[0].tasks[0].stop_reason, StopReason::KilledGrace);
+        damages.push(time_increase(baseline, run.jobs[0].total_time));
     }
     assert!(
         damages[0] <= damages[1],
@@ -159,9 +172,11 @@ fn oversized_tasks_are_rejected_not_crashed() {
     // A batch-256 VGG19 (~24 GiB) exceeds every stage's bubble memory.
     let p = pipeline(3);
     let subs = vec![Submission::new(WorkloadKind::Vgg19).with_batch(256)];
-    let run = run_colocation(&p, &FreeRideConfig::iterative(), &subs);
+    let run = colocate(&p, &FreeRideConfig::iterative(), &subs);
 
-    // The rejection keeps the whole submission and carries real numbers.
+    // Rejected at submission: the cluster keeps the whole submission,
+    // with real numbers.
+    assert_eq!(run.total_rejections(), 1);
     assert_eq!(run.rejected.len(), 1);
     let rejected = &run.rejected[0];
     assert_eq!(*rejected.submission.tag(), WorkloadKind::Vgg19);
@@ -186,7 +201,7 @@ fn oversized_tasks_are_rejected_not_crashed() {
         "rejection message must carry the numbers: {msg}"
     );
 
-    assert!(run.tasks.is_empty());
+    assert!(run.jobs[0].tasks.is_empty());
     // Training ran to completion regardless.
-    assert_eq!(run.epoch_times.len(), 3);
+    assert_eq!(run.jobs[0].epoch_times.len(), 3);
 }

@@ -5,8 +5,8 @@
 
 use freeride::core::{
     next_state, AdmissionControl, BestFitMemory, Cluster, ClusterJob, ClusterReport, DeadlineLayer,
-    Deployment, FastestFit, FaultPlan, FirstFit, FreeRideConfig, LeastLoaded, MinTasksJob,
-    Placement, PlacementPolicy, PriorityTag, RateLimit, RateLimitMode, RetryPolicy, ServiceMetrics,
+    FastestFit, FaultPlan, FirstFit, FreeRideConfig, LeastLoaded, MinTasksJob, Placement,
+    PlacementPolicy, PriorityTag, RateLimit, RateLimitMode, RetryPolicy, ServiceMetrics,
     SideTaskManager, SideTaskState, Submission, SubmitOptions, SupervisorConfig, TaskId,
     TenantQuota, Transition, WorkerPolicy,
 };
@@ -286,25 +286,21 @@ proptest! {
             c
         };
 
-        let mut batch = Deployment::builder(p.clone())
-            .config(cfg())
-            .cost_report(false)
-            .build();
-        for _ in 0..4 {
-            batch.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
-        }
-        let batch = batch.run();
-
-        let mut online = Deployment::builder(p)
-            .config(cfg())
-            .cost_report(false)
-            .build();
-        for ms in &arrivals_ms {
-            online
-                .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(*ms)))
-                .unwrap();
-        }
-        let online = online.run();
+        let run = |subs: Vec<Submission>| {
+            let mut cluster = Cluster::builder()
+                .job(ClusterJob::new(p.clone()).config(cfg()))
+                .cost_report(false)
+                .build();
+            for sub in subs {
+                cluster.submit(sub).unwrap();
+            }
+            cluster.run().jobs.remove(0)
+        };
+        let batch = run(vec![Submission::new(WorkloadKind::PageRank); 4]);
+        let online = run(arrivals_ms
+            .iter()
+            .map(|ms| Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(*ms)))
+            .collect());
 
         // Precondition: every arrival fell inside the profiling epoch,
         // before the first serving bubble.

@@ -11,12 +11,16 @@ fn prelude_glob_import_round_trip() {
     let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(3);
 
     let baseline = run_baseline(&pipeline);
-    let run = run_colocation(
-        &pipeline,
-        &FreeRideConfig::iterative(),
-        &Submission::per_worker(WorkloadKind::PageRank, 4),
-    );
-    let report = evaluate(baseline, run.total_time, &run.work());
+    let mut cluster = Cluster::builder()
+        .job(ClusterJob::new(pipeline).config(FreeRideConfig::iterative()))
+        .cost_report(false)
+        .build();
+    for sub in Submission::per_worker(WorkloadKind::PageRank, 4) {
+        cluster.submit(sub).expect("fits bubble memory");
+    }
+    let run = cluster.run();
+    let job: &JobReport = &run.jobs[0];
+    let report = evaluate(baseline, job.total_time, &job.work());
 
     // The quickstart's promise, with the paper's ~1% overhead headroom.
     assert!(
@@ -29,7 +33,7 @@ fn prelude_glob_import_round_trip() {
         "harvested bubbles must yield savings, got {}",
         report.cost_savings
     );
-    assert!(run.tasks.iter().map(|t| t.steps).sum::<u64>() > 0);
+    assert!(run.total_steps() > 0);
 }
 
 #[test]
