@@ -31,6 +31,134 @@ const CLUSTER_PINNED: [&str; 4] = [
     "min-tasks-job steps=568 events=2441 makespan=9.580s",
 ];
 
+/// The recorded `hetero_rows` output (see [`TABLE1_PINNED`]).
+const HETERO_PINNED: [&str; 5] = [
+    "first-fit steps=3843 events=8775 placements=[0, 0] makespan=17.468s",
+    "best-fit-memory steps=310 events=1733 placements=[3, 2] makespan=17.468s",
+    "least-loaded steps=4047 events=9217 placements=[0, 1] makespan=17.468s",
+    "fastest-fit steps=3843 events=8775 placements=[0, 0] makespan=17.468s",
+    "min-tasks-job steps=4047 events=9217 placements=[0, 1] makespan=17.468s",
+];
+
+/// The recorded `chaos_rows` output (see [`TABLE1_PINNED`]).
+const CHAOS_PINNED: [&str; 6] = [
+    "none        policy=pin-late        steps=1016   rejected=2 lost=1 recovered=0 worst_recovery=0ns events=3115",
+    "retry       policy=pin-late        steps=1066   rejected=0 lost=2 recovered=2 worst_recovery=3.000s events=3254",
+    "checkpoint  policy=pin-late        steps=1665   rejected=2 lost=0 recovered=2 worst_recovery=3.000s events=4472",
+    "breaker     policy=circuit-breaker steps=1535   rejected=0 lost=1 recovered=2 worst_recovery=6.200s events=4218",
+    "all         policy=circuit-breaker steps=1715   rejected=0 lost=0 recovered=4 worst_recovery=6.200s events=4613",
+    "supervised  policy=circuit-breaker steps=2195   rejected=0 lost=0 recovered=3 worst_recovery=6.200s events=6857",
+];
+
+/// The recorded `health_rows` output (see [`TABLE1_PINNED`]), detector
+/// transition logs included.
+const HEALTH_PINNED: [&str; 82] = [
+    "unsupervised  steps=2264   transitions=0 mean_ttd=0ns mean_ttr=0ns migrations=0 hedge_wins=0 hedge_losses=0 events=5725",
+    "detect        steps=2407   transitions=26 mean_ttd=300.000ms mean_ttr=283.460ms migrations=1 hedge_wins=0 hedge_losses=0 events=7214",
+    "              j0 w1 healthy->suspect @4.300000s",
+    "              j0 w1 suspect->dead @4.800000s",
+    "              j0 w1 dead->healthy @5.000117s",
+    "              j0 w1 healthy->suspect @5.500000s",
+    "              j0 w1 suspect->dead @6.000000s",
+    "              j0 w2 healthy->suspect @6.400000s",
+    "              j0 w2 suspect->healthy @6.400146s",
+    "              j0 w2 healthy->suspect @6.800000s",
+    "              j0 w2 suspect->healthy @6.800114s",
+    "              j0 w2 healthy->suspect @7.200000s",
+    "              j0 w2 suspect->healthy @7.200109s",
+    "              j0 w2 healthy->suspect @7.600000s",
+    "              j0 w2 suspect->healthy @7.600145s",
+    "              j0 w2 healthy->suspect @8.000000s",
+    "              j0 w2 suspect->healthy @8.000119s",
+    "              j0 w1 dead->healthy @8.200115s",
+    "              j0 w2 healthy->suspect @8.400000s",
+    "              j0 w2 suspect->healthy @8.400138s",
+    "              j0 w2 healthy->suspect @8.800000s",
+    "              j0 w2 suspect->healthy @8.800155s",
+    "              j0 w2 healthy->suspect @9.200000s",
+    "              j0 w2 suspect->healthy @9.200110s",
+    "              j0 w2 healthy->suspect @9.600000s",
+    "              j0 w2 suspect->healthy @9.600140s",
+    "              j0 w2 healthy->suspect @10.000000s",
+    "              j0 w2 suspect->healthy @10.000108s",
+    "migrate       steps=2498   transitions=26 mean_ttd=300.000ms mean_ttr=283.459ms migrations=1 hedge_wins=0 hedge_losses=0 events=7396",
+    "              j0 w1 healthy->suspect @4.300000s",
+    "              j0 w1 suspect->dead @4.800000s",
+    "              j0 w1 dead->healthy @5.000114s",
+    "              j0 w1 healthy->suspect @5.500000s",
+    "              j0 w1 suspect->dead @6.000000s",
+    "              j0 w2 healthy->suspect @6.400000s",
+    "              j0 w2 suspect->healthy @6.400146s",
+    "              j0 w2 healthy->suspect @6.800000s",
+    "              j0 w2 suspect->healthy @6.800114s",
+    "              j0 w2 healthy->suspect @7.200000s",
+    "              j0 w2 suspect->healthy @7.200109s",
+    "              j0 w2 healthy->suspect @7.600000s",
+    "              j0 w2 suspect->healthy @7.600145s",
+    "              j0 w2 healthy->suspect @8.000000s",
+    "              j0 w2 suspect->healthy @8.000119s",
+    "              j0 w1 dead->healthy @8.200115s",
+    "              j0 w2 healthy->suspect @8.400000s",
+    "              j0 w2 suspect->healthy @8.400138s",
+    "              j0 w2 healthy->suspect @8.800000s",
+    "              j0 w2 suspect->healthy @8.800155s",
+    "              j0 w2 healthy->suspect @9.200000s",
+    "              j0 w2 suspect->healthy @9.200110s",
+    "              j0 w2 healthy->suspect @9.600000s",
+    "              j0 w2 suspect->healthy @9.600140s",
+    "              j0 w2 healthy->suspect @10.000000s",
+    "              j0 w2 suspect->healthy @10.000108s",
+    "hedged        steps=2498   transitions=26 mean_ttd=300.000ms mean_ttr=283.466ms migrations=1 hedge_wins=0 hedge_losses=2 events=7434",
+    "              j0 w1 healthy->suspect @4.300000s",
+    "              j0 w1 suspect->dead @4.800000s",
+    "              j0 w1 dead->healthy @5.000114s",
+    "              j0 w1 healthy->suspect @5.500000s",
+    "              j0 w1 suspect->dead @6.000000s",
+    "              j0 w2 healthy->suspect @6.400000s",
+    "              j0 w2 suspect->healthy @6.400139s",
+    "              j0 w2 healthy->suspect @6.800000s",
+    "              j0 w2 suspect->healthy @6.800156s",
+    "              j0 w2 healthy->suspect @7.200000s",
+    "              j0 w2 suspect->healthy @7.200144s",
+    "              j0 w2 healthy->suspect @7.600000s",
+    "              j0 w2 suspect->healthy @7.600116s",
+    "              j0 w2 healthy->suspect @8.000000s",
+    "              j0 w2 suspect->healthy @8.000136s",
+    "              j0 w1 dead->healthy @8.200093s",
+    "              j0 w2 healthy->suspect @8.400000s",
+    "              j0 w2 suspect->healthy @8.400127s",
+    "              j0 w2 healthy->suspect @8.800000s",
+    "              j0 w2 suspect->healthy @8.800125s",
+    "              j0 w2 healthy->suspect @9.200000s",
+    "              j0 w2 suspect->healthy @9.200124s",
+    "              j0 w2 healthy->suspect @9.600000s",
+    "              j0 w2 suspect->healthy @9.600142s",
+    "              j0 w2 healthy->suspect @10.000000s",
+    "              j0 w2 suspect->healthy @10.000172s",
+];
+
+/// The recorded `traffic_rows` output (see [`TABLE1_PINNED`]).
+const TRAFFIC_PINNED: [&str; 18] = [
+    "poisson/open     arrivals=64   accepted=64   rejected=0    p50=0ns p99=0ns p999=0ns harvest=0.930 events=2116",
+    "                   rejected/submitted by tenant: batch=0/36 interactive=0/16 training=0/12",
+    "                   shed by layer: service-metrics=0 placement=0 | by kind: arrived-after-shutdown=33",
+    "poisson/guarded  arrivals=64   accepted=45   rejected=19   p50=0ns p99=864.037ms p999=864.037ms harvest=0.930 events=2061",
+    "                   rejected/submitted by tenant: batch=14/36 interactive=2/16 training=3/12",
+    "                   shed by layer: service-metrics=0 admission-control=8 tenant-quota=11 deadline=0 priority-tag=0 rate-limit=0 placement=0 | by kind: arrived-after-shutdown=23 overloaded=8 quota-exceeded=11",
+    "onoff/open       arrivals=64   accepted=64   rejected=0    p50=0ns p99=0ns p999=0ns harvest=0.930 events=2128",
+    "                   rejected/submitted by tenant: batch=0/36 interactive=0/16 training=0/12",
+    "                   shed by layer: service-metrics=0 placement=0 | by kind: arrived-after-shutdown=30",
+    "onoff/guarded    arrivals=64   accepted=13   rejected=51   p50=328.487ms p99=1.331s p999=1.331s harvest=0.930 events=1993",
+    "                   rejected/submitted by tenant: batch=29/36 interactive=11/16 training=11/12",
+    "                   shed by layer: service-metrics=0 admission-control=0 tenant-quota=2 deadline=0 priority-tag=0 rate-limit=0 placement=49 | by kind: deadline-exceeded=49 quota-exceeded=2",
+    "diurnal/open     arrivals=57   accepted=57   rejected=0    p50=0ns p99=0ns p999=0ns harvest=0.923 events=3089",
+    "                   rejected/submitted by tenant: batch=0/26 interactive=0/25 training=0/6",
+    "                   shed by layer: service-metrics=0 placement=0 | by kind: arrived-after-shutdown=34",
+    "diurnal/guarded  arrivals=57   accepted=41   rejected=16   p50=0ns p99=849.492ms p999=849.492ms harvest=0.923 events=3053",
+    "                   rejected/submitted by tenant: batch=8/26 interactive=8/25 training=0/6",
+    "                   shed by layer: service-metrics=0 admission-control=12 tenant-quota=4 deadline=0 priority-tag=0 rate-limit=0 placement=0 | by kind: arrived-after-shutdown=23 overloaded=12 quota-exceeded=4",
+];
+
 /// The table1-style row computation: a full co-location simulation per
 /// workload, formatted exactly like the binary's output rows.
 fn table1_rows(threads: usize) -> Vec<String> {
@@ -184,6 +312,7 @@ fn hetero_sweep_is_byte_identical_to_sequential() {
     // The ISSUE's bar: the hetero bin must print the same bytes at
     // `--threads 1` and `--threads 4`.
     let sequential = hetero_rows(1);
+    assert_eq!(sequential, HETERO_PINNED, "hetero rows moved");
     for threads in [2, 4] {
         let parallel = hetero_rows(threads);
         assert_eq!(
@@ -208,6 +337,7 @@ fn chaos_sweep_is_byte_identical_to_sequential() {
     // `--threads`, even though its cells inject faults, retry arrivals,
     // and restore checkpointed tasks.
     let sequential = chaos_rows(1);
+    assert_eq!(sequential, CHAOS_PINNED, "chaos rows moved");
     for threads in [2, 4] {
         let parallel = chaos_rows(threads);
         assert_eq!(
@@ -234,6 +364,7 @@ fn health_sweep_is_byte_identical_to_sequential() {
     // counts — supervision reacts to the event stream, so any
     // nondeterminism in it would smear the log.
     let sequential = health_rows(1);
+    assert_eq!(sequential, HEALTH_PINNED, "health rows moved");
     assert!(
         sequential.iter().any(|l| l.contains("->suspect")),
         "the grid must actually exercise the detector"
@@ -266,6 +397,7 @@ fn traffic_sweep_is_byte_identical_to_sequential() {
     // `--threads 1` and `--threads 4`, even though its cells meter,
     // delay, and shed hundreds of generated arrivals.
     let sequential = traffic_rows(1);
+    assert_eq!(sequential, TRAFFIC_PINNED, "traffic rows moved");
     for threads in [2, 4] {
         let parallel = traffic_rows(threads);
         assert_eq!(

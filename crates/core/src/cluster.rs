@@ -34,13 +34,11 @@
 //! example).
 
 use crate::config::{ColocationMode, FreeRideConfig, InterfaceKind};
-use crate::deployment::{
-    assemble_report, AcceptedSubmission, JobReport, RejectedSubmission, Submission,
-};
 use crate::fault::{FaultPlan, SubmitOptions};
 use crate::health::{HealthReport, HealthState, SupervisorConfig};
+use crate::job::{AcceptedSubmission, JobReport, RejectedSubmission, Submission};
 use crate::manager::SubmitError;
-use crate::orchestrator::{execute_cluster, JobExecSpec, TaskSummary};
+use crate::orchestrator::{execute_cluster, TaskSummary};
 use crate::service::{ServiceChain, ServiceReport, SubmitMiddleware};
 use crate::state::SideTaskState;
 use crate::task::{StopReason, TaskId};
@@ -527,14 +525,15 @@ impl ClusterJob {
     }
 }
 
-/// One job's submission-time state inside a cluster.
-struct JobSlot {
-    pipeline: PipelineConfig,
-    cfg: FreeRideConfig,
-    faults: FaultPlan,
-    checkpoint: Option<SimDuration>,
-    supervise: Option<SupervisorConfig>,
-    accepted: Vec<AcceptedSubmission>,
+/// One job's submission-time state inside a cluster — also what the
+/// orchestrator runs the job from.
+pub(crate) struct JobSlot {
+    pub(crate) pipeline: PipelineConfig,
+    pub(crate) cfg: FreeRideConfig,
+    pub(crate) faults: FaultPlan,
+    pub(crate) checkpoint: Option<SimDuration>,
+    pub(crate) supervise: Option<SupervisorConfig>,
+    pub(crate) accepted: Vec<AcceptedSubmission>,
     /// Submissions routed to this job (pinned or job-level).
     admitted: usize,
     /// Per-worker pinned-submission counts (feeds [`WorkerView::assigned`]).
@@ -1096,42 +1095,15 @@ impl Cluster {
             slot.cfg.validate();
         }
         let bus_seed = self.seed.unwrap_or(self.jobs[0].cfg.seed);
-        let (outputs, profile) = {
-            let specs: Vec<JobExecSpec<'_>> = self
-                .jobs
-                .iter()
-                .map(|s| JobExecSpec {
-                    pipeline: &s.pipeline,
-                    cfg: &s.cfg,
-                    accepted: &s.accepted,
-                    faults: &s.faults,
-                    checkpoint: s.checkpoint,
-                    supervise: s.supervise.as_ref(),
-                })
-                .collect();
-            execute_cluster(
-                &specs,
-                bus_seed,
-                Arc::clone(&self.policy),
-                self.tracer.clone(),
-                self.profile,
-            )
-        };
-        let events_processed: u64 = outputs.iter().map(|o| o.events_processed).sum();
-        let jobs: Vec<JobReport> = self
-            .jobs
-            .into_iter()
-            .zip(outputs)
-            .map(|(slot, outcome)| {
-                assemble_report(
-                    &slot.pipeline,
-                    &slot.cfg,
-                    &slot.accepted,
-                    outcome,
-                    self.cost_report,
-                )
-            })
-            .collect();
+        let (jobs, profile) = execute_cluster(
+            &self.jobs,
+            bus_seed,
+            Arc::clone(&self.policy),
+            self.tracer.clone(),
+            self.profile,
+            self.cost_report,
+        );
+        let events_processed: u64 = jobs.iter().map(|j| j.events_processed).sum();
         let mut health = HealthReport::default();
         for (j, job) in jobs.iter().enumerate() {
             health.merge_from(j, job.health.clone());

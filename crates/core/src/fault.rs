@@ -105,6 +105,19 @@ impl FaultKind {
             FaultKind::OomWindow { .. } => None,
         }
     }
+
+    /// How long after firing the degraded resource is restored — when
+    /// the fault's end event is due. `None` for OOM windows, which
+    /// admission bounds by time directly, so no end event is needed.
+    pub(crate) fn restore_after(&self) -> Option<SimDuration> {
+        match self {
+            FaultKind::WorkerCrash { down_for, .. } => Some(*down_for),
+            FaultKind::Straggler { duration, .. } | FaultKind::RpcSpike { duration, .. } => {
+                Some(*duration)
+            }
+            FaultKind::OomWindow { .. } => None,
+        }
+    }
 }
 
 /// One scheduled fault: a [`FaultKind`] firing at an exact simulated time.

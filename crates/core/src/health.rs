@@ -52,8 +52,8 @@
 //! [`ClusterView`]: crate::ClusterView
 
 use crate::cluster::ClusterTaskHandle;
-use crate::deployment::Submission;
 use crate::fault::SubmitOptions;
+use crate::job::Submission;
 use crate::manager::SubmitError;
 use crate::service::{Next, SubmitMiddleware, DEFAULT_TENANT};
 use crate::task::TaskId;

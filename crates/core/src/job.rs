@@ -24,20 +24,18 @@
 //! [`Cluster`]: crate::Cluster
 //! [`Cluster::submit`]: crate::Cluster::submit
 
-use crate::config::{ColocationMode, FreeRideConfig};
+use crate::config::ColocationMode;
 use crate::fault::RetryPolicy;
 use crate::health::{HealthReport, Recovery};
 use crate::manager::SubmitError;
-use crate::metrics::{evaluate, BubbleBreakdown, CostReport, TaskWork};
-use crate::orchestrator::{ExecutionOutput, TaskSummary};
+use crate::metrics::{BubbleBreakdown, CostReport, TaskWork};
+use crate::orchestrator::TaskSummary;
 use crate::task::{Misbehavior, TaskId};
 use freeride_gpu::MemBytes;
-use freeride_pipeline::{run_training, PipelineConfig};
 use freeride_sim::{SimDuration, SimTime, TraceRecorder};
 use freeride_tasks::{
     SideTaskWorkload, WorkloadFactory, WorkloadKind, WorkloadProfile, WorkloadTag, DEFAULT_BATCH,
 };
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// Default per-step duration assumed for custom workloads until the
@@ -293,74 +291,6 @@ pub(crate) struct AcceptedSubmission {
     /// Retry middleware for in-run admission ([`crate::SubmitOptions`]).
     pub(crate) retry: Option<RetryPolicy>,
     pub(crate) outcome: Arc<OnceLock<TaskSummary>>,
-}
-
-/// Assembles one job's raw execution output into a [`JobReport`]:
-/// resolves task handles, folds in-run rejections back onto their
-/// submissions, and (when enabled) trains the no-side-task baseline for
-/// the paper's cost metrics.
-pub(crate) fn assemble_report(
-    pipeline: &PipelineConfig,
-    cfg: &FreeRideConfig,
-    accepted: &[AcceptedSubmission],
-    mut outcome: ExecutionOutput,
-    cost_report: bool,
-) -> JobReport {
-    // Id-indexed lookups: one map build instead of a linear scan per
-    // accepted submission (sweeps submit hundreds of tasks).
-    {
-        let by_id: BTreeMap<TaskId, &TaskSummary> =
-            outcome.tasks.iter().map(|t| (t.id, t)).collect();
-        for acc in accepted {
-            if let Some(summary) = by_id.get(&acc.id) {
-                let _ = acc.outcome.set((*summary).clone());
-            }
-        }
-    }
-    let mut rejected = Vec::new();
-    if !outcome.late_rejected.is_empty() {
-        let accepted_by_id: BTreeMap<TaskId, &AcceptedSubmission> =
-            accepted.iter().map(|a| (a.id, a)).collect();
-        for (id, error) in std::mem::take(&mut outcome.late_rejected) {
-            if let Some(acc) = accepted_by_id.get(&id) {
-                rejected.push(RejectedSubmission {
-                    submission: acc.submission.clone(),
-                    error,
-                });
-            }
-        }
-    }
-
-    let (baseline_time, cost) = if cost_report {
-        let baseline = run_training(pipeline, cfg.schedule).total_time;
-        let work: Vec<TaskWork> = outcome
-            .tasks
-            .iter()
-            .map(|t| TaskWork::new(&t.profile, t.steps))
-            .collect();
-        (
-            Some(baseline),
-            Some(evaluate(baseline, outcome.total_time, &work)),
-        )
-    } else {
-        (None, None)
-    };
-
-    JobReport {
-        mode: cfg.mode,
-        total_time: outcome.total_time,
-        epoch_times: outcome.epoch_times,
-        tasks: outcome.tasks,
-        rejected,
-        breakdown: outcome.breakdown,
-        trace: outcome.trace,
-        bubbles_reported: outcome.bubbles_reported,
-        events_processed: outcome.events_processed,
-        recoveries: outcome.recoveries,
-        health: outcome.health,
-        baseline_time,
-        cost,
-    }
 }
 
 /// Result of one job of a cluster run: per-task outcomes, the in-run

@@ -88,9 +88,9 @@
 
 mod cluster;
 mod config;
-mod deployment;
 mod fault;
 mod health;
+mod job;
 mod manager;
 mod metrics;
 mod orchestrator;
@@ -106,12 +106,12 @@ pub use cluster::{
     Placement, PlacementPolicy, WorkerView,
 };
 pub use config::{ColocationMode, FreeRideConfig, InterfaceKind};
-pub use deployment::{JobReport, RejectedSubmission, Submission};
 pub use fault::{CircuitBreaker, FaultEvent, FaultKind, FaultPlan, RetryPolicy, SubmitOptions};
 pub use health::{
     AdaptiveAdmission, Brownout, FailureDetector, HealthReport, HealthState, HealthTransition,
     Recovery, RecoveryKind, Supervisor, SupervisorConfig,
 };
+pub use job::{JobReport, RejectedSubmission, Submission};
 pub use manager::{ManagerCmd, SideTaskManager, SubmitError, WorkerMeta, WorkerPolicy};
 pub use metrics::{
     evaluate, time_increase, BreakdownFractions, BubbleBreakdown, CostReport, TaskWork,

@@ -31,8 +31,8 @@
 //! [`ServiceReport`].
 
 use crate::cluster::{Cluster, ClusterTaskHandle, ClusterView};
-use crate::deployment::Submission;
 use crate::fault::SubmitOptions;
+use crate::job::Submission;
 use crate::manager::SubmitError;
 use freeride_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};

@@ -3,7 +3,8 @@
 //! straggler — replayed under each resilience mechanism, asserting that
 //! every mechanism measurably changes the completed side-task steps
 //! against the no-mechanism baseline, and that replaying the same trace
-//! yields an identical report.
+//! yields an identical report. A separate plan checks that overlapping
+//! crash windows on one worker keep it down until the last one closes.
 
 use freeride::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -272,4 +273,66 @@ fn the_same_fault_trace_replays_identically() {
     let a = run_cell(true, true, true);
     let b = run_cell(true, true, true);
     assert_eq!(digest(&a), digest(&b), "chaos runs must be deterministic");
+}
+
+/// Pins every submission to the flapping worker.
+struct PinFlapping;
+
+impl PlacementPolicy for PinFlapping {
+    fn name(&self) -> &'static str {
+        "pin-flapping"
+    }
+
+    fn place(&self, _needed: MemBytes, _view: &ClusterView) -> Option<Placement> {
+        Some(Placement::Worker {
+            job: 0,
+            worker: FLAPPING,
+        })
+    }
+}
+
+#[test]
+fn a_short_crash_inside_a_long_one_keeps_the_worker_down() {
+    // Down 1–11s; the second crash (2–3s) closes first but must not
+    // bring the daemon back early.
+    let plan = FaultPlan::new()
+        .crash_worker(
+            SimTime::from_millis(1_000),
+            FLAPPING,
+            SimDuration::from_secs(10),
+        )
+        .crash_worker(
+            SimTime::from_millis(2_000),
+            FLAPPING,
+            SimDuration::from_secs(1),
+        );
+    let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(EPOCHS);
+    let mut cluster = Cluster::builder()
+        .job(ClusterJob::new(pipeline).seed(SEED).faults(plan))
+        .policy(PinFlapping)
+        .cost_report(false)
+        .build();
+    let inside = cluster
+        .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(5_000)))
+        .expect("routed at submission time");
+    let after = cluster
+        .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(12_000)))
+        .expect("routed at submission time");
+    let report = cluster.run();
+    let job = &report.jobs[0];
+
+    assert_eq!(job.rejected.len(), 1, "{:?}", job.rejected);
+    assert!(
+        matches!(
+            job.rejected[0].error,
+            SubmitError::WorkerDown { worker: FLAPPING }
+        ),
+        "the 5s arrival lands inside the long window: {:?}",
+        job.rejected[0].error
+    );
+    assert!(inside.steps().is_none(), "the rejected arrival never ran");
+    assert!(
+        after.steps().unwrap_or(0) > 0,
+        "the worker is back once the last window closes"
+    );
 }
